@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PreconditionViolated
+from .errors import InvariantViolated, MalformedJSON, PreconditionViolated, json_fields
 from .series import (
     QQ,
     CoefficientField,
@@ -43,7 +43,7 @@ def is_dominant(w):
 
 
 def dual_weight(w):
-    """The weight of the reversed distance: (m1, m2, 0) -> (m1, m1 - m2, 0)."""
+    """Dominant weight of -w, i.e. the reversed distance: (m1, m2, 0) -> (m1, m1 - m2, 0)."""
     a, b, c = sorted((-w[0], -w[1], -w[2]), reverse=True)
     return (a - c, b - c, 0)
 
@@ -72,12 +72,6 @@ def weight_letter(w):
     if w == OMEGA2:
         return 2
     raise ValueError(f"{w} is not a fundamental weight")
-
-
-def _weight_from_exponents(exps):
-    a1, a2, a3 = exps
-    mu = sorted((-a1, -a2, -a3), reverse=True)
-    return (mu[0] - mu[2], mu[1] - mu[2], 0)
 
 
 class LatticeClass:
@@ -161,7 +155,8 @@ def class_from_generators(vectors, field=None):
 @lru_cache(maxsize=1 << 18)
 def _distance_cached(x, y):
     rel = invert_upper_triangular(x.basis) * y.basis
-    return _weight_from_exponents(smith_exponents(rel))
+    # d(x, y) is minus the elementary-divisor exponents, made dominant
+    return dual_weight(smith_exponents(rel))
 
 
 def distance(x, y):
@@ -278,7 +273,7 @@ def common_neighbor(x, y, z):
     n = chain[1]
     for v in (x, y, z):
         if not adjacent(n, v):
-            raise AssertionError("constructed vertex fails adjacency")
+            raise InvariantViolated("constructed vertex fails adjacency")
     return n
 
 
@@ -348,7 +343,7 @@ def random_step(x, w, rng):
     else:
         raise PreconditionViolated(f"step weight must be omega_1 or omega_2, got {w}")
     if distance(x, y) != w:
-        raise AssertionError("random step failed its distance postcondition")
+        raise InvariantViolated("random step failed its distance postcondition")
     return y
 
 
@@ -359,12 +354,12 @@ def field_to_json(field):
 
 
 def field_from_json(obj):
-    kind = obj.get("field")
+    (kind,) = json_fields(obj, "lattice", field=str)
     if kind == "Q":
         return QQ
     if kind == "Fp":
-        return CoefficientField(int(obj["p"]))
-    raise ValueError(f"unknown field tag {kind!r}")
+        return CoefficientField(*json_fields(obj, "lattice", p=int))
+    raise MalformedJSON(f"lattice field 'field' must be 'Q' or 'Fp', got {kind!r}")
 
 
 def lattice_to_json(mat):
@@ -375,9 +370,13 @@ def lattice_to_json(mat):
 
 def lattice_from_json(obj):
     field = field_from_json(obj)
-    cols = [
-        [LaurentScalar.from_json(field, t) for t in col] for col in obj["columns"]
-    ]
+    (cols,) = json_fields(obj, "lattice", columns=list)
+    try:
+        if not cols or any(len(col) != 3 for col in cols):
+            raise ValueError("a lattice needs columns of 3 entries each")
+        cols = [[LaurentScalar.from_json(field, t) for t in col] for col in cols]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedJSON(f"lattice field 'columns' is malformed: {exc!r}") from exc
     return LaurentMatrix.from_columns(field, cols)
 
 

@@ -17,6 +17,7 @@ any order or in parallel cannot change results.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -25,12 +26,10 @@ import sys
 
 from .building import class_from_json, distance, lattice_to_json
 from .growth import (
-    complete_from_row,
     diagram_from_json,
     dim_inv,
     enumerate_diagrams,
     parse_word,
-    promotion,
 )
 from .hulls import conv, induced_complex, maxconv, minconv
 from .series import GF, QQ
@@ -165,7 +164,8 @@ def _cmd_reduce(args):
 
 def _cmd_promote(args):
     d = diagram_from_json(_load_json(args.file))
-    _print_json(complete_from_row(promotion(d.first_row)).to_json())
+    # the promoted row is row 2, so its diagram is the one based at vertex 2
+    _print_json(d.rebase(2).to_json())
     return 0
 
 
@@ -266,6 +266,7 @@ def _cmd_verify(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sl3webs",

@@ -19,6 +19,7 @@ from .errors import (
     LocalRuleViolation,
     NotAPartitionAfterSort,
     NotVerticalStrip,
+    json_fields,
 )
 
 __all__ = [
@@ -42,7 +43,10 @@ __all__ = [
 
 def partition(parts):
     """Canonical partition tuple: weakly decreasing, trailing zeros dropped."""
-    p = tuple(int(x) for x in parts)
+    try:
+        p = tuple(int(x) for x in parts)
+    except TypeError as exc:
+        raise ValueError(f"{parts!r} is not a sequence of integers") from exc
     while p and p[-1] == 0:
         p = p[:-1]
     if len(p) > 3:
@@ -56,6 +60,11 @@ def partition(parts):
 
 def _padded(p):
     return tuple(p) + (0,) * (3 - len(p))
+
+
+def _unpadded(q):
+    """Canonical tuple of a padded partition: trailing zeros dropped."""
+    return q[: 3 - q.count(0)]
 
 
 def partition_to_text(p):
@@ -77,15 +86,39 @@ def parse_word(word):
     return letters
 
 
-def _strip_size(letter):
-    return 1 if letter == 1 else 2
+def _dif3(a, b):
+    """Row set of :func:`dif`, on padded partitions."""
+    d0, d1, d2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    lo, hi = min(d0, d1, d2), max(d0, d1, d2)
+    if lo < -1 or hi > 1 or lo < 0 < hi:
+        raise NotVerticalStrip(
+            f"{_unpadded(a)} and {_unpadded(b)} do not differ by a vertical strip"
+        )
+    return frozenset(r for r, d in ((1, d0), (2, d1), (3, d2)) if d)
+
+
+def _is_strip3(a, b):
+    return 0 <= b[0] - a[0] <= 1 and 0 <= b[1] - a[1] <= 1 and 0 <= b[2] - a[2] <= 1
+
+
+def _local_rule3(g, g_below, g_right):
+    """:func:`local_rule` on padded partitions, returning a padded one."""
+    rows = _dif3(g, g_below)
+    r1, r2, r3 = g_right[0] - (1 in rows), g_right[1] - (2 in rows), g_right[2] - (3 in rows)
+    out = sorted((r1, r2, r3), reverse=True)
+    if out[2] < 0:
+        raise NotAPartitionAfterSort(f"negative part in {out}")
+    result = tuple(out)
+    if not (_is_strip3(g_below, result) and _is_strip3(result, g_right)):
+        raise NotAPartitionAfterSort(
+            f"{_unpadded(result)} does not extend the chains through the square"
+        )
+    return result
 
 
 def is_vertical_strip(inner, outer):
     """True when outer/inner adds at most one box to each row."""
-    a = _padded(partition(inner))
-    b = _padded(partition(outer))
-    return all(0 <= b[i] - a[i] <= 1 for i in range(3))
+    return _is_strip3(_padded(partition(inner)), _padded(partition(outer)))
 
 
 def dif(a, b):
@@ -94,14 +127,7 @@ def dif(a, b):
     One argument must contain the other, with at most one box of difference
     per row; otherwise :class:`NotVerticalStrip` is raised.
     """
-    pa = _padded(partition(a))
-    pb = _padded(partition(b))
-    deltas = [pa[i] - pb[i] for i in range(3)]
-    if any(abs(d) > 1 for d in deltas):
-        raise NotVerticalStrip(f"{a!r} and {b!r} differ by more than one box in a row")
-    if any(d > 0 for d in deltas) and any(d < 0 for d in deltas):
-        raise NotVerticalStrip(f"neither of {a!r}, {b!r} contains the other")
-    return frozenset(i + 1 for i, d in enumerate(deltas) if d)
+    return _dif3(_padded(partition(a)), _padded(partition(b)))
 
 
 def complement(p, k):
@@ -126,23 +152,8 @@ def local_rule(g, g_below, g_right):
     sorting.  Raises :class:`NotAPartitionAfterSort` when the result fails
     to extend the two chains through the square.
     """
-    rows = dif(g, g_below)
-    out = list(_padded(partition(g_right)))
-    for r in rows:
-        out[r - 1] -= 1
-    out.sort(reverse=True)
-    if out[-1] < 0:
-        raise NotAPartitionAfterSort(f"negative part in {out}")
-    result = partition(out)
-    try:
-        ok = is_vertical_strip(g_below, result) and is_vertical_strip(result, g_right)
-    except ValueError:
-        ok = False
-    if not ok:
-        raise NotAPartitionAfterSort(
-            f"{result} does not extend the chains through the square"
-        )
-    return result
+    padded = (_padded(partition(q)) for q in (g, g_below, g_right))
+    return _unpadded(_local_rule3(*padded))
 
 
 class GrowthDiagram:
@@ -177,8 +188,10 @@ class GrowthDiagram:
 
     def rebase(self, i):
         """The same cylinder based at vertex i (row i becomes the first row)."""
-        row = tuple(self.entry(i, i + j) for j in range(self.n + 1))
-        return complete_from_row(row)
+        n = self.n
+        s = (i - 1) % n
+        rows = [self.rows[(s + r) % n] for r in range(n + 1)]
+        return GrowthDiagram(self.word[s:] + self.word[:s], rows)
 
     @property
     def rectangle(self):
@@ -210,12 +223,10 @@ class GrowthDiagram:
 
 
 def diagram_from_json(obj):
-    word = parse_word(obj["word"])
-    d = complete_from_row([partition(p) for p in obj["first_row"]])
-    if d.word != word:
-        raise InvalidChain(
-            f"first row has type {''.join(map(str, d.word))}, not {obj['word']}"
-        )
+    text, first_row = json_fields(obj, "growth diagram", word=str, first_row=list)
+    d = complete_from_row(first_row)
+    if d.word != parse_word(text):
+        raise InvalidChain(f"first row has type {''.join(map(str, d.word))}, not {text}")
     return d
 
 
@@ -227,13 +238,10 @@ def _validate_first_row(first_row):
         raise InvalidChain("first entry must be the empty partition")
     word = []
     for a, b in zip(row, row[1:]):
-        try:
-            added = dif(b, a)
-        except NotVerticalStrip as exc:
-            raise InvalidChain(str(exc)) from exc
-        if not is_vertical_strip(a, b) or len(added) not in (1, 2):
+        size = sum(b) - sum(a)
+        if not is_vertical_strip(a, b) or size not in (1, 2):
             raise InvalidChain(f"step {a} -> {b} is not a 1- or 2-box vertical strip")
-        word.append(1 if len(added) == 1 else 2)
+        word.append(size)
     last = _padded(row[-1])
     if not last[0] == last[1] == last[2]:
         raise InvalidChain(f"final entry {row[-1]} is not a rectangle")
@@ -255,43 +263,31 @@ def complete_from_row(first_row):
     """
     row, word, k = _validate_first_row(first_row)
     n = len(word)
-    rect = partition((k, k, k))
+    rect = (k, k, k)
     rows = [tuple(row)]
+    prev = [_padded(p) for p in row]
     for i in range(1, n + 1):
-        prev = rows[i - 1]
-        cur = [()]
+        cur = [(0, 0, 0)]
         for j in range(i + 1, i + n):
-            g = prev[j - i]
-            g_below = cur[-1]
-            g_right = prev[j - i + 1]
             try:
-                cur.append(local_rule(g, g_below, g_right))
+                cur.append(_local_rule3(prev[j - i], cur[-1], prev[j - i + 1]))
             except (NotVerticalStrip, NotAPartitionAfterSort) as exc:
                 raise LocalRuleViolation(f"square ({i}, {j}): {exc}") from exc
         # the far end of every row is pinned to the rectangle; validate the
         # wrap step instead of computing it
         try:
-            closing = dif(rect, cur[-1])
+            closing = _dif3(rect, cur[-1])
         except NotVerticalStrip as exc:
             raise LocalRuleViolation(f"row {i + 1} does not close onto {rect}: {exc}")
-        if len(closing) != _strip_size(word[i - 1]):
+        if len(closing) != word[i - 1]:
             raise LocalRuleViolation(
                 f"row {i + 1} closes with a {len(closing)}-box strip, "
                 f"expected letter {word[i - 1]}"
             )
         cur.append(rect)
-        rows.append(tuple(cur))
-    diagram = GrowthDiagram(word, rows)
-    # cylindrical periodicity: row n+1 is row 1 again
-    assert rows[n] == rows[0], "completed diagram is not periodic"
-    # complement symmetry: gamma_{j,i+n} is gamma_{i,j} rotated in the box
-    for i in range(1, n + 2):
-        for j in range(i, min(i + n, n + 1) + 1):
-            expected = complement(rows[i - 1][j - i], k)
-            assert rows[j - 1][i + n - j] == expected, (
-                f"complement symmetry fails at ({i}, {j})"
-            )
-    return diagram
+        rows.append(tuple(_unpadded(p) for p in cur))
+        prev = cur
+    return GrowthDiagram(word, rows)
 
 
 def promotion(row):
@@ -300,8 +296,7 @@ def promotion(row):
     Acting on chains, this is the promotion operator on the row-strict
     tableaux that encode them; applying it n times is the identity.
     """
-    d = complete_from_row(row)
-    return tuple(d.entry(2, 2 + j) for j in range(d.n + 1))
+    return complete_from_row(row).rows[1]
 
 
 def row_to_tableau(row):
@@ -309,13 +304,9 @@ def row_to_tableau(row):
     chain = [partition(p) for p in row]
     tableau = ([], [], [])
     for j, (a, b) in enumerate(zip(chain, chain[1:]), start=1):
-        try:
-            added = dif(b, a)
-        except NotVerticalStrip as exc:
-            raise InvalidChain(str(exc)) from exc
-        if not is_vertical_strip(a, b) or not added:
+        if not is_vertical_strip(a, b) or a == b:
             raise InvalidChain(f"step {a} -> {b} is not a vertical strip")
-        for r in added:
+        for r in dif(b, a):
             tableau[r - 1].append(j)
     return tuple(tuple(r) for r in tableau)
 
@@ -367,7 +358,7 @@ def enumerate_diagrams(word):
     w = parse_word(word)
     if not w:
         raise ValueError("empty type word")
-    boxes = sum(_strip_size(c) for c in w)
+    boxes = sum(w)
     if boxes % 3:
         return []
     k = boxes // 3
@@ -380,7 +371,7 @@ def enumerate_diagrams(word):
             if chain[-1] == target:
                 found.append(tuple(chain))
             return
-        for q in _vstrip_additions(chain[-1], _strip_size(w[j]), k):
+        for q in _vstrip_additions(chain[-1], w[j], k):
             chain.append(q)
             dfs(chain)
             chain.pop()
@@ -403,19 +394,10 @@ def dim_inv(word):
     for letter in w:
         nxt = {}
         for (p, q), c in state.items():
-            if letter == 1:
-                moves = [(p + 1, q)]
-                if p:
-                    moves.append((p - 1, q + 1))
-                if q:
-                    moves.append((p, q - 1))
-            else:
-                moves = [(p, q + 1)]
-                if q:
-                    moves.append((p + 1, q - 1))
-                if p:
-                    moves.append((p - 1, q))
-            for m in moves:
+            # a 2 acts as a 1 on the dual weight (q, p)
+            a, b = (p, q) if letter == 1 else (q, p)
+            for m in [(a + 1, b)] + [(a - 1, b + 1)] * (a > 0) + [(a, b - 1)] * (b > 0):
+                m = m if letter == 1 else m[::-1]
                 nxt[m] = nxt.get(m, 0) + c
         state = nxt
     return state.get((0, 0), 0)

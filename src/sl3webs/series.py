@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
-from .errors import RankDeficient, SingularMatrix
+from .errors import InvariantViolated, RankDeficient, SingularMatrix
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -577,9 +577,9 @@ def smith_exponents(mat):
         rows.remove(pi)
         cols.remove(pj)
     if exps != sorted(exps):
-        raise AssertionError("pivot valuations not nondecreasing")
+        raise InvariantViolated("pivot valuations not nondecreasing")
     if sum(exps) != d.val():
-        raise AssertionError("exponent sum disagrees with det valuation")
+        raise InvariantViolated("exponent sum disagrees with det valuation")
     return tuple(reversed(exps))
 
 

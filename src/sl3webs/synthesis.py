@@ -29,12 +29,18 @@ from .building import (
     dual_weight,
     lattice_dual,
     lattice_meet,
+    letter_weight,
     random_step,
     step_to_line,
     steps,
 )
-from .errors import NoDoubleElbow, PreconditionViolated, RealizationFailed
-from .growth import complete_from_row, partition
+from .errors import (
+    InvariantViolated,
+    NoDoubleElbow,
+    PreconditionViolated,
+    RealizationFailed,
+)
+from .growth import _padded, _unpadded, complete_from_row
 from .hulls import induced_complex, path_hull_fastpath
 from .series import GF, invert_upper_triangular, solve_upper_triangular
 from .webs import Diskoid, dualize
@@ -61,18 +67,10 @@ __all__ = [
 ]
 
 
-def _pad3(p):
-    return tuple(p) + (0,) * (3 - len(p))
-
-
 def _weight(p):
     """Dominant weight of a partition entry: subtract the full columns."""
-    a, b, c = _pad3(p)
+    a, b, c = _padded(p)
     return (a - c, b - c, 0)
-
-
-def _letter_weight(letter):
-    return OMEGA1 if letter == 1 else OMEGA2
 
 
 # -- finding and applying moves ----------------------------------------------
@@ -151,13 +149,16 @@ class MoveLog:
     """Ordered list of reduction moves, each indexed in its own diagram state.
 
     The log is the reduction certificate: replaying it forward from the
-    diagram it was computed from must land on the base 2-gon.
+    diagram it was computed from must land on the base 2-gon.  ``states``
+    holds the diagram each move was applied to, when the log was recorded
+    by :func:`reduce_to_base`; equality compares the moves only.
     """
 
-    __slots__ = ("moves",)
+    __slots__ = ("moves", "states")
 
-    def __init__(self, moves=()):
+    def __init__(self, moves=(), states=()):
         self.moves = tuple(moves)
+        self.states = tuple(states)
 
     def __len__(self):
         return len(self.moves)
@@ -191,11 +192,10 @@ def apply_move(d, move):
     raise TypeError(f"not a move: {move!r}")
 
 
-def _minus_column(p):
-    a, b, c = _pad3(p)
-    if c < 1:
-        raise PreconditionViolated(f"{p!r} has no full column to remove")
-    return partition((a - 1, b - 1, c - 1))
+def _less_columns(row):
+    """First-row entries from position 2 on, less entry 2's full columns."""
+    c = _padded(row[2])[2]
+    return [_unpadded(tuple(x - c for x in _padded(p))) for p in row[2:]]
 
 
 def remove_uturn(d, i):
@@ -215,9 +215,7 @@ def remove_uturn(d, i):
         raise PreconditionViolated("cannot remove a U-turn from a 2-gon")
     if _weight(d.entry(i, i + 2)) != ZERO_WEIGHT:
         raise PreconditionViolated(f"no U-turn at position {i}")
-    based = d.rebase(i)
-    row = based.first_row
-    return complete_from_row([_minus_column(p) for p in row[2:]])
+    return complete_from_row(_less_columns(d.rebase(i).first_row))
 
 
 def remove_sharp(d, i):
@@ -231,11 +229,7 @@ def remove_sharp(d, i):
     """
     if _weight(d.entry(i, i + 2)) not in (OMEGA1, OMEGA2):
         raise PreconditionViolated(f"no sharp corner at position {i}")
-    based = d.rebase(i)
-    row = based.first_row
-    c = _pad3(row[2])[2]
-    shifted = [partition(tuple(x - c for x in _pad3(p))) for p in row[2:]]
-    return complete_from_row([()] + shifted)
+    return complete_from_row([()] + _less_columns(d.rebase(i).first_row))
 
 
 def elbow_move(d, i):
@@ -270,7 +264,8 @@ def reduce_to_base(d):
     - ``d`` -- any valid growth diagram
 
     OUTPUT: pair (base, log) where ``base`` is a 2-gon diagram and ``log``
-    a :class:`MoveLog` with ``log.replay(d) == base``.
+    a :class:`MoveLog` with ``log.replay(d) == base``, whose ``states``
+    are the diagrams the moves were applied to.
 
     U-turns and sharp corners are removed as soon as they exist.  When
     neither does, a double elbow is located and its leading corner flipped;
@@ -280,28 +275,32 @@ def reduce_to_base(d):
     loop bound is defensive.
     """
     moves = []
+    states = []
     cur = d
     while cur.n > 2:
         i = find_uturn(cur)
         if i is not None:
             moves.append(UTurnRemoval(i))
+            states.append(cur)
             cur = remove_uturn(cur, i)
             continue
         i = find_sharp(cur)
         if i is not None:
             moves.append(SharpCornerRemoval(i))
+            states.append(cur)
             cur = remove_sharp(cur, i)
             continue
         site, a = find_double_elbow(cur)
         for _ in range(a):
             moves.append(ElbowMove(site))
+            states.append(cur)
             cur = elbow_move(cur, site)
             if find_uturn(cur) is not None or find_sharp(cur) is not None:
                 break
             site = 2
         else:
-            raise AssertionError("elbow run did not produce a removable corner")
-    return cur, MoveLog(moves)
+            raise InvariantViolated("elbow run did not produce a removable corner")
+    return cur, MoveLog(moves, states)
 
 
 # -- rebuilding the diskoid ---------------------------------------------------
@@ -324,20 +323,12 @@ def diskoid_from_diagram(d):
     boundary walk starts at the basepoint of ``d``.
     """
     base, log = reduce_to_base(d)
-    states = [d]
-    cur = d
-    for move in log:
-        cur = apply_move(cur, move)
-        states.append(cur)
-    if cur != base:
-        raise AssertionError("move log replay does not reach the base diagram")
-
     n_vertices = 2
     arrows = [_arrow(0, 1, base.word[0])]
     triangles = []
     walk = [0, 1]
 
-    for move, before in zip(reversed(log.moves), reversed(states[:-1])):
+    for move, before in zip(reversed(log.moves), reversed(log.states)):
         i = move.index
         w = before.word
         here = w[i - 1]
@@ -435,7 +426,7 @@ def _residue_strata(x, anchor):
         rows = _echelon(field, [_residue_vector(x, col) for col in meet.columns()])
         stages.append(rows)
     if len(stages[0]) != 3 or stages[-1]:
-        raise AssertionError("residue filtration bounds are wrong")
+        raise InvariantViolated("residue filtration bounds are wrong")
     return [
         (stages[k], stages[k + 1])
         for k in range(len(stages) - 1)
@@ -470,7 +461,7 @@ def _conditioned_line(x, anchor, target, rng):
         return None
     y = step_to_line(x, v)
     if distance(anchor, y) != target:
-        raise AssertionError("stratum sample moved off its orbit")
+        raise InvariantViolated("stratum sample moved off its orbit")
     return y
 
 
@@ -536,7 +527,7 @@ def _attempt_realization(d, rng, field):
     x = [None] * (n + 1)
     x[1] = LatticeClass.standard(field)
     if n == 2:
-        x[2] = random_step(x[1], _letter_weight(w[0]), rng)
+        x[2] = random_step(x[1], letter_weight(w[0]), rng)
         return x[1:]
     for j in range(2, n - 1):
         x[j] = conditioned_step(x[j - 1], w[j - 2], x[1], _weight(d.entry(1, j)), rng)
@@ -546,7 +537,7 @@ def _attempt_realization(d, rng, field):
     if x[n] is None:
         return None
     x[n - 1] = conditioned_step(
-        x[n - 2], w[n - 3], x[n], dual_weight(_letter_weight(w[n - 2])), rng
+        x[n - 2], w[n - 3], x[n], dual_weight(letter_weight(w[n - 2])), rng
     )
     if x[n - 1] is None:
         return None

@@ -14,7 +14,7 @@ integer combinations of non-elliptic ones using the circle, bigon, and
 square relations with coefficients 3, -2, and 1 + 1.
 """
 
-from .errors import MalformedDiskoid
+from .errors import InvariantViolated, MalformedDiskoid, MalformedJSON, json_fields
 
 __all__ = [
     "Diskoid",
@@ -173,7 +173,9 @@ def web_from_edges(edges, boundary, n_vertices=None, rotations=None, free_loops=
         pool = list(incident[v])
         order = []
         for eid in rotations[v]:
-            hit = next(d for d in pool if d // 2 == eid)
+            hit = next((d for d in pool if d // 2 == eid), None)
+            if hit is None:
+                raise ValueError(f"rotation at {v} lists edge {eid} more often than it ends there")
             pool.remove(hit)
             order.append(hit)
         if pool:
@@ -366,7 +368,7 @@ class WebCombination:
 def _stub(w, v, dead_edges):
     hits = [d for d in w.rot[v] if d // 2 not in dead_edges]
     if len(hits) != 1:
-        raise AssertionError(f"vertex {v} has {len(hits)} surviving edges")
+        raise InvariantViolated(f"vertex {v} has {len(hits)} surviving edges")
     return hits[0]
 
 
@@ -381,7 +383,8 @@ def _excise(w, dead_vertices, dead_edges, pairs):
     for a, b in pairs:
         partner[a] = b
         partner[b] = a
-    assert set(partner) == set(dead_vertices)
+    if set(partner) != set(dead_vertices):
+        raise InvariantViolated("junction pairs do not cover the excised vertices")
 
     dead_vset = set(dead_vertices)
     chain_edges = set()
@@ -447,7 +450,8 @@ def _excise(w, dead_vertices, dead_edges, pairs):
         d_a, d_b = segs[0], segs[-1]
         # direction carried by the first segment, checked on the last
         a_is_source = w.is_out(d_a)
-        assert a_is_source != w.is_out(d_b), "chain direction is inconsistent"
+        if a_is_source == w.is_out(d_b):
+            raise InvariantViolated("chain direction is inconsistent")
         dart_map[d_a] = 2 * ne
         dart_map[d_b] = 2 * ne + 1
         new_src.append(2 * ne if a_is_source else 2 * ne + 1)
@@ -467,7 +471,8 @@ def _reducible_faces(w):
     out = []
     for f in internal_faces(w):
         if len(f) < 6:
-            assert len(f) in (2, 4), f"odd internal face {f}"
+            if len(f) not in (2, 4):
+                raise InvariantViolated(f"odd internal face {f}")
             if len({w.vert(d) for d in f}) < len(f):
                 # degenerate square revisiting a corner; a smaller face
                 # nearby shrinks first
@@ -516,7 +521,8 @@ def reduce_web(w, rng=None):
             cur = Web(cur.rot, cur.src, cur.boundary, 0)
         cands = _reducible_faces(cur)
         if not cands:
-            assert is_nonelliptic(cur), "terminal web still has a small face"
+            if not is_nonelliptic(cur):
+                raise InvariantViolated("terminal web still has a small face")
             out[cur] = out.get(cur, 0) + coeff
             continue
         face = cands[0] if rng is None else cands[rng.randrange(len(cands))]
@@ -557,6 +563,8 @@ class Diskoid:
         self.triangles = frozenset(tuple(sorted(t)) for t in triangles)
         self.boundary_walk = tuple(boundary_walk)
         self.labels = None if labels is None else tuple(labels)
+        if self.labels is not None and len(self.labels) != self.n_vertices:
+            raise MalformedDiskoid(f"{len(self.labels)} labels for {self.n_vertices} vertices")
 
         edges = set()
         for u, v in self.arrows:
@@ -657,6 +665,10 @@ def is_cat0(d):
     return all(d.degree(v) >= 6 for v in d.interior_vertices())
 
 
+def _rotations(cyc):
+    return {cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2]}
+
+
 def _oriented_triangles(d):
     """Counterclockwise vertex order per triangle, seeded from the walk.
 
@@ -681,16 +693,11 @@ def _oriented_triangles(d):
         (t,) = tris
         x = next(z for z in t if z not in (u, v))
         cyc = (u, v, x)
-        if t in orient:
-            if set((cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2])) != {
-                orient[t],
-                orient[t][1:] + orient[t][:1],
-                orient[t][2:] + orient[t][:2],
-            }:
-                raise MalformedDiskoid(f"triangle {t} orientation conflict at the walk")
-        else:
+        if t not in orient:
             orient[t] = cyc
             queue.append(t)
+        elif orient[t] not in _rotations(cyc):
+            raise MalformedDiskoid(f"triangle {t} orientation conflict at the walk")
     while queue:
         t = queue.pop()
         cyc = orient[t]
@@ -701,13 +708,11 @@ def _oriented_triangles(d):
                     continue
                 x = next(z for z in t2 if z not in (a, b))
                 cyc2 = (b, a, x)
-                if t2 in orient:
-                    rots = {cyc2, cyc2[1:] + cyc2[:1], cyc2[2:] + cyc2[:2]}
-                    if orient[t2] not in rots:
-                        raise MalformedDiskoid(f"triangles {t} and {t2} disagree")
-                else:
+                if t2 not in orient:
                     orient[t2] = cyc2
                     queue.append(t2)
+                elif orient[t2] not in _rotations(cyc2):
+                    raise MalformedDiskoid(f"triangles {t} and {t2} disagree")
     if len(orient) != len(d.triangles):
         raise MalformedDiskoid("triangle patch not reachable from the boundary walk")
     return orient
@@ -728,19 +733,12 @@ def dualize(d):
     tri_id = {t: n + i for i, t in enumerate(tris)}
 
     owner = {}
-    for t in tris:
-        cyc = orient[t]
-        for i in range(3):
-            side = (cyc[i], cyc[(i + 1) % 3])
-            if side in owner:
-                raise MalformedDiskoid(f"side {side} owned twice")
-            owner[side] = tri_id[t]
     walk = d.boundary_walk
-    for p in range(n):
-        side = (walk[(p + 1) % n], walk[p])
+    sides = [((orient[t][i], orient[t][(i + 1) % 3]), tri_id[t]) for t in tris for i in range(3)]
+    for side, who in sides + [((walk[(p + 1) % n], walk[p]), p) for p in range(n)]:
         if side in owner:
             raise MalformedDiskoid(f"side {side} owned twice")
-        owner[side] = p
+        owner[side] = who
 
     edges = []
     edge_of = {}
@@ -782,17 +780,32 @@ def web_to_json(w):
     }
 
 
+def _ids(xs, bound, length=None):
+    """True when ``xs`` is a JSON list of integers in range(bound)."""
+    return (
+        isinstance(xs, list)
+        and (length is None or len(xs) == length)
+        and all(type(x) is int and 0 <= x < bound for x in xs)
+    )
+
+
 def web_from_json(obj):
-    edges = [tuple(e) for e in obj["edges"]]
-    rotations = {}
-    for v, recs in enumerate(obj["rotations"]):
-        rotations[v] = [eid for eid, _flag in recs]
+    recs, edges, boundary = json_fields(obj, "web", rotations=list, edges=list, boundary=list)
+    free_loops = json_fields(obj, "web", free_loops=int)[0] if "free_loops" in obj else 0
+    n, m = len(recs), len(edges)
+    if not all(_ids(e, n, 2) for e in edges):
+        raise MalformedJSON(f"web field 'edges' must hold [source, target] vertex pairs below {n}")
+    records = [x for r in recs for x in (r if isinstance(r, list) else [None])]
+    if not all(isinstance(x, list) and len(x) == 2 and _ids(x[:1], m) for x in records):
+        raise MalformedJSON(f"web field 'rotations' must hold lists of [edge below {m}, flag]")
+    if not _ids(boundary, n):
+        raise MalformedJSON(f"web field 'boundary' must hold vertex ids below {n}")
     return web_from_edges(
-        edges,
-        boundary=obj["boundary"],
-        n_vertices=len(obj["rotations"]),
-        rotations=rotations,
-        free_loops=obj.get("free_loops", 0),
+        [tuple(e) for e in edges],
+        boundary=boundary,
+        n_vertices=n,
+        rotations={v: [eid for eid, _flag in r] for v, r in enumerate(recs)},
+        free_loops=free_loops,
     )
 
 
@@ -809,31 +822,39 @@ def diskoid_to_json(d):
 
 
 def diskoid_from_json(obj):
-    return Diskoid(
-        obj["n_vertices"],
-        [tuple(a) for a in obj["arrows"]],
-        [tuple(t) for t in obj["triangles"]],
-        obj["boundary_walk"],
-        labels=obj.get("labels"),
+    n, arrows, triangles, walk = json_fields(
+        obj, "diskoid", n_vertices=int, arrows=list, triangles=list, boundary_walk=list
     )
+    labels = json_fields(obj, "diskoid", labels=list)[0] if "labels" in obj else None
+    if not all(_ids(a, n, 2) for a in arrows):
+        raise MalformedJSON(f"diskoid field 'arrows' must hold vertex pairs below {n}")
+    if not all(_ids(t, n, 3) for t in triangles):
+        raise MalformedJSON(f"diskoid field 'triangles' must hold vertex triples below {n}")
+    if not _ids(walk, n):
+        raise MalformedJSON(f"diskoid field 'boundary_walk' must hold vertex ids below {n}")
+    return Diskoid(n, [tuple(a) for a in arrows], [tuple(t) for t in triangles], walk, labels)
 
 
-def _web_layout(w):
+def _layout(n_vertices, ring, edges, bag):
+    """Drawing positions: ``ring`` spaced on the unit circle from the top,
+    a vertex at its first position, and every other vertex relaxed to the
+    mean of its neighbors, summed in the order of a ``bag`` (list or set)
+    filled from ``edges`` in order."""
     import math
 
-    pos = {}
-    nb = len(w.boundary)
-    for i, v in enumerate(w.boundary):
-        ang = math.pi / 2 - 2 * math.pi * i / max(nb, 1)
-        pos[v] = (math.cos(ang), math.sin(ang))
-    interior = [v for v in range(w.n_vertices) if v not in pos]
-    for v in interior:
-        pos[v] = (0.0, 0.0)
-    adj = {v: [] for v in range(w.n_vertices)}
-    for e in range(w.n_edges):
-        u, v = w.edge_ends(e)
+    adj = {v: [] for v in range(n_vertices)}
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    adj = {v: bag(nb) for v, nb in adj.items()}
+    pos = {}
+    for p, v in enumerate(ring):
+        if v not in pos:
+            ang = math.pi / 2 - 2 * math.pi * p / len(ring)
+            pos[v] = (math.cos(ang), math.sin(ang))
+    interior = [v for v in range(n_vertices) if v not in pos]
+    for v in interior:
+        pos[v] = (0.0, 0.0)
     for _ in range(60):
         for v in interior:
             if adj[v]:
@@ -861,7 +882,7 @@ def web_to_dot(w, name="web"):
 
 
 def web_to_tikz(w):
-    pos = _web_layout(w)
+    pos = _layout(w.n_vertices, w.boundary, map(w.edge_ends, range(w.n_edges)), list)
     lines = ["\\begin{tikzpicture}[scale=2]"]
     bset = set(w.boundary)
     for i, v in enumerate(w.boundary):
@@ -883,32 +904,6 @@ def web_to_tikz(w):
     return "\n".join(lines)
 
 
-def _diskoid_layout(d):
-    import math
-
-    pos = {}
-    walk = d.boundary_walk
-    n = len(walk)
-    for p, v in enumerate(walk):
-        if v not in pos:
-            ang = math.pi / 2 - 2 * math.pi * p / n
-            pos[v] = (math.cos(ang), math.sin(ang))
-    interior = [v for v in range(d.n_vertices) if v not in pos]
-    for v in interior:
-        pos[v] = (0.0, 0.0)
-    adj = {v: set() for v in range(d.n_vertices)}
-    for u, v in d.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    for _ in range(60):
-        for v in interior:
-            if adj[v]:
-                xs = [pos[u][0] for u in adj[v]]
-                ys = [pos[u][1] for u in adj[v]]
-                pos[v] = (sum(xs) / len(xs), sum(ys) / len(ys))
-    return pos
-
-
 def diskoid_to_dot(d, name="diskoid"):
     lines = [f"digraph {name} {{"]
     for v in range(d.n_vertices):
@@ -921,7 +916,7 @@ def diskoid_to_dot(d, name="diskoid"):
 
 
 def diskoid_to_tikz(d):
-    pos = _diskoid_layout(d)
+    pos = _layout(d.n_vertices, d.boundary_walk, d.edges, set)
     lines = ["\\begin{tikzpicture}[scale=2]"]
     for v in range(d.n_vertices):
         x, y = pos[v]

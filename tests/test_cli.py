@@ -1,9 +1,13 @@
+import ast
 import io
 import json
+import pathlib
 import sys
 
+import pytest
 from fixtures import octagon_classes, square_web, theta_web
 
+import sl3webs
 from sl3webs.building import distance, lattice_to_json
 from sl3webs.cli import run
 from sl3webs.growth import diagram_from_json, enumerate_diagrams
@@ -56,6 +60,38 @@ def test_bad_word_is_a_domain_error(capsys):
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, doc, field",
+    [
+        (("hull", "-", "--conv"), [{"field": "Q"}], "'columns'"),
+        (("hull", "-", "--conv"), [{"field": "Q", "columns": [[1, 2, 3]] * 3}], "'columns'"),
+        (("hull", "-", "--min"), [1], "lattice"),
+        (("distance", "-", "0", "0"), [1], "lattice"),
+        (("reduce", "-"), {"edges": [[0, 1]], "rotations": [[[0, 0]]], "boundary": [0, 1]},
+         "'edges'"),
+        (("reduce", "-"),
+         {"edges": [[0, 1]], "rotations": [[[5, 0]], [[0, 1]]], "boundary": [0, 1]},
+         "'rotations'"),
+        (("dualize", "-"), {"n_vertices": 2}, "'arrows'"),
+        (("promote", "-"), [1], "growth diagram"),
+    ],
+)
+def test_malformed_json_is_a_domain_error(capsys, argv, doc, field):
+    code, out, err = invoke(capsys, *argv, stdin=json.dumps(doc))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and field in err
+
+
+def test_library_has_no_assert():
+    """Internal invariants raise a named error: ``assert`` vanishes under -O
+    and an ``AssertionError`` escapes the CLI's exit-code mapping."""
+    for path in sorted(pathlib.Path(sl3webs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Name):
+                assert node.id != "AssertionError", f"{path.name}:{node.lineno}"
 
 
 def test_help_exits_zero(capsys):

@@ -198,13 +198,20 @@ def test_monotone_difs():
 
 
 def test_complement_symmetry_enumerated():
-    for word in ("1212", "121212"):
-        for d in enumerate_diagrams(word):
-            k = d.rectangle[0]
-            n = d.n
-            for i in range(1, n + 1):
-                for j in range(i, i + n + 1):
-                    assert d.entry(j, i + n) == complement(d.entry(i, j), k)
+    """Periodicity, complement symmetry and rebasing on every diagram of
+    every word up to length 7.  The reference for ``rebase`` is a fresh
+    completion of the rebased first row."""
+    for n in range(1, 8):
+        for word in itertools.product((1, 2), repeat=n):
+            for d in enumerate_diagrams(word):
+                k = d.rectangle[0]
+                assert d.rows[n] == d.rows[0]
+                for i in range(1, n + 1):
+                    for j in range(i, i + n + 1):
+                        assert d.entry(j, i + n) == complement(d.entry(i, j), k)
+                    based = d.rebase(i)
+                    fresh = complete_from_row(based.first_row)
+                    assert based == fresh and based.word == fresh.word
 
 
 def test_json_and_text():

@@ -269,6 +269,8 @@ def test_reduction_properties_small_words():
                 assert base.n == 2
                 assert len(log) <= n * n
                 assert log.replay(g) == base
+                after = [apply_move(state, move) for state, move in zip(log.states, log)]
+                assert [g] + after == list(log.states) + [base]
 
 
 # -- rebuilding diskoids ---------------------------------------------------
