@@ -3,7 +3,7 @@
 A vertex is a homothety class of full O-lattices in K^3, stored as the
 canonical scale-normalized basis: the Hermite form of any generating set,
 shifted by the unique power of ``t`` that puts the lattice inside ``O^3``
-but not inside ``t * O^3``.  Class equality is bit-equality of bases.
+but not inside ``t * O^3``.  Classes are equal when their fields and bases are.
 
 Distances are SL3 dominant weights.  ``d(x,y)`` expresses a basis of ``y``
 in a basis of ``x``, reads off the elementary-divisor exponents, negates,
@@ -11,6 +11,12 @@ sorts, and normalizes the last entry to zero.  The two fundamental weights
 ``omega_1 = (1,0,0)`` and ``omega_2 = (1,1,0)`` are the adjacency types:
 an ``omega_1``-neighbor of ``[L]`` corresponds to a line in the residue
 space ``L / tL`` and an ``omega_2``-neighbor to a plane.
+
+Two vertices lie in a common apartment: one Smith elimination of
+``x.basis^-1 * z.basis`` gives ``g_i`` with ``L_x = <g_i>``, ``L_z = <t^(e_i) g_i>``,
+so ``L_x meet t^a L_z = <t^max(0, a + e_i) g_i>`` and ``L_x + t^a L_z =
+<t^min(0, a + e_i) g_i>``: a pair chain is one elimination plus one canonical
+form per interior vertex.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .series import (
     hermite_over_O,
     invert_upper_triangular,
     smith_exponents,
+    smith_form,
     solve_upper_triangular,
 )
 
@@ -36,10 +43,6 @@ ZERO_WEIGHT = (0, 0, 0)
 
 #: Rational coefficients for random residue choices are drawn from this range.
 RATIONAL_SAMPLE_RANGE = 10007
-
-
-def is_dominant(w):
-    return len(w) == 3 and w[0] >= w[1] >= w[2] == 0
 
 
 def dual_weight(w):
@@ -66,19 +69,12 @@ def letter_weight(letter):
     raise ValueError(f"letter must be 1 or 2, got {letter!r}")
 
 
-def weight_letter(w):
-    if w == OMEGA1:
-        return 1
-    if w == OMEGA2:
-        return 2
-    raise ValueError(f"{w} is not a fundamental weight")
-
-
 class LatticeClass:
     """Homothety class of a full O-lattice, held by its canonical basis.
 
     Construct through :func:`class_from_generators` (or the convenience
-    factories); the constructor trusts its input.
+    factories); the constructor trusts its input.  The coefficient field is
+    part of the identity; the order sorts by basis within one field.
     """
 
     __slots__ = ("basis", "_key", "_hash")
@@ -86,7 +82,7 @@ class LatticeClass:
     def __init__(self, basis):
         self.basis = basis
         self._key = basis.key()
-        self._hash = hash(self._key)
+        self._hash = hash((basis.field.p, self._key))
 
     @property
     def field(self):
@@ -108,7 +104,11 @@ class LatticeClass:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, LatticeClass) and self._key == other._key
+        return (
+            isinstance(other, LatticeClass)
+            and self._key == other._key
+            and self.field == other.field
+        )
 
     def __hash__(self):
         return self._hash
@@ -145,11 +145,13 @@ def class_from_generators(vectors, field=None):
         if field is None:
             field = vectors[0][0].field
         mat = LaurentMatrix.from_columns(field, vectors)
-    h = hermite_over_O(mat)
+    return _normalized_class(hermite_over_O(mat))
+
+
+def _normalized_class(h):
+    """The class of a canonical basis ``h``, trusted to be in Hermite form."""
     s = -h.minval()
-    if s != 0:
-        h = h.shift(s)
-    return LatticeClass(h)
+    return LatticeClass(h.shift(s) if s else h)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -205,45 +207,57 @@ def lattice_join(a, b):
 def lattice_meet(a, b):
     """Canonical basis of the intersection L_a meet L_b (representative level).
 
-    Computed through duality: (L_a meet L_b)* = L_a* + L_b*, and the dual of
-    a lattice with canonical triangular basis ``C`` is spanned by the columns
-    of the inverse transpose of ``C``.
+    Read off the common apartment of the two lattices: ``<t^max(0, e_i) g_i>``.
     """
-    return lattice_dual(lattice_join(lattice_dual(a), lattice_dual(b)))
+    a, b = (m if _is_canonical_shape(m) else hermite_over_O(m) for m in (a, b))
+    return hermite_over_O(apartment_lattice(common_apartment(a, b), 0, max))
 
 
 def join(x, y):
     """Class-level sum, computed on the canonical scale-normalized bases."""
-    return class_from_generators(lattice_join(x.basis, y.basis))
+    return _normalized_class(lattice_join(x.basis, y.basis))
 
 
 def meet(x, y):
     """Class-level intersection, computed on the canonical scale-normalized bases."""
-    return class_from_generators(lattice_meet(x.basis, y.basis))
+    return _normalized_class(lattice_meet(x.basis, y.basis))
 
 
-def _meet_chain(x, z):
-    """Classes [L_x meet t^a L_z] for increasing a, deduplicated, from [x] to [z]."""
-    n = steps(distance(x, z))
-    out = []
-    for a in range(-(n + 1), n + 2):
-        c = class_from_generators(lattice_meet(x.basis, z.basis.shift(a)))
-        if not out or out[-1] != c:
-            if c not in out:
-                out.append(c)
-    return out
+def common_apartment(a, b):
+    """``(exps, g)`` with ``e_1 <= e_2 <= e_3``, ``L_a = <g_i>`` and ``L_b = <t^(e_i) g_i>``.
+
+    ``a`` is a triangular basis with monomial diagonal, ``b`` a nonsingular
+    3 x 3 basis, and ``g`` is ``a`` times the Smith basis of ``a^-1 * b``.
+    """
+    exps, w = smith_form(invert_upper_triangular(a) * b)
+    return exps, a * w
 
 
-def _join_chain(x, z):
-    """Classes [L_x + t^a L_z] for decreasing a, deduplicated, from [x] to [z]."""
-    n = steps(distance(x, z))
-    out = []
-    for a in range(n + 1, -(n + 2), -1):
-        c = class_from_generators(lattice_join(x.basis, z.basis.shift(a)))
-        if not out or out[-1] != c:
-            if c not in out:
-                out.append(c)
-    return out
+def apartment_lattice(apartment, a, bound):
+    """Columns ``t^bound(0, a + e_i) g_i`` of the common apartment of ``L_x`` and
+    ``L_z``: they span ``L_x meet t^a L_z`` for ``bound=max``, ``L_x + t^a L_z`` for
+    ``bound=min``."""
+    exps, g = apartment
+    return LaurentMatrix.from_columns(
+        g.field,
+        [[f.shift(bound(0, a + e)) for f in col] for e, col in zip(exps, g.columns())],
+    )
+
+
+def pair_chain(x, z, bound):
+    """Distinct classes of :func:`apartment_lattice` from ``x`` to ``z``: meets for
+    increasing ``a`` (``bound=max``), sums for decreasing ``a`` (``bound=min``).
+
+    Exactly the n + 1 shifts from ``-e_3`` to ``-e_1`` give distinct classes,
+    with ``x`` and ``z`` at the ends, where n = e_3 - e_1 = steps(d(x, z)).
+    """
+    if x == z:
+        return [x]
+    apartment = common_apartment(x.basis, z.basis)
+    lo, hi = -apartment[0][2], -apartment[0][0]
+    shifts = range(lo + 1, hi) if bound is max else range(hi - 1, lo, -1)
+    inner = [class_from_generators(apartment_lattice(apartment, a, bound)) for a in shifts]
+    return [x] + inner + [z]
 
 
 def common_neighbor(x, y, z):
@@ -259,9 +273,9 @@ def common_neighbor(x, y, z):
     d1 = distance(x, y)
     d2 = distance(y, z)
     if (d1, d2) == (OMEGA1, OMEGA2):
-        chain = _meet_chain(x, z)
+        chain = pair_chain(x, z, max)
     elif (d1, d2) == (OMEGA2, OMEGA1):
-        chain = _join_chain(x, z)
+        chain = pair_chain(x, z, min)
     else:
         raise PreconditionViolated(
             f"common_neighbor needs distances (omega_1, omega_2) in some order, got {d1}, {d2}"

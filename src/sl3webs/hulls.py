@@ -11,13 +11,7 @@ cliques, is returned by :func:`induced_complex`.
 from functools import lru_cache
 from itertools import combinations
 
-from .building import (
-    _join_chain,
-    _meet_chain,
-    adjacent,
-    distance,
-    lattice_to_json,
-)
+from .building import adjacent, distance, lattice_to_json, pair_chain
 from .errors import NotAPath
 
 __all__ = [
@@ -39,41 +33,34 @@ def minconv_chain(x, y):
     """Ordered geodesic from ``x`` to ``y`` spelled omega_2 steps, then omega_1.
 
     The vertices are the classes [L_x meet t^a L_y] for increasing ``a``;
-    the list starts at ``x`` and ends at ``y``.
+    the list starts at ``x`` and ends at ``y``.  In a common apartment
+    ``L_x = <g_i>``, ``L_y = <t^(e_i) g_i>`` they are ``[<t^max(0, a + e_i) g_i>]``.
     """
-    return _meet_chain(x, y)
+    return pair_chain(x, y, max)
 
 
 def maxconv_chain(x, y):
     """Ordered geodesic from ``x`` to ``y`` spelled omega_1 steps, then omega_2.
 
-    The vertices are the classes [L_x + t^a L_y] for decreasing ``a``.
+    The vertices are the classes [L_x + t^a L_y] for decreasing ``a``: in the
+    apartment of :func:`minconv_chain` they are ``[<t^min(0, a + e_i) g_i>]``.
     """
-    return _join_chain(x, y)
+    return pair_chain(x, y, min)
 
 
-@lru_cache(maxsize=1 << 16)
-def _min_pair_cached(x, y):
-    return frozenset(_meet_chain(x, y))
-
-
-@lru_cache(maxsize=1 << 16)
-def _max_pair_cached(x, y):
-    return frozenset(_join_chain(x, y))
+@lru_cache(maxsize=1 << 17)
+def _pair_hull_cached(x, y, bound):
+    return frozenset(pair_chain(x, y, bound))
 
 
 def minconv_pair(x, y):
     """Min-convex hull of two vertices, as a frozenset of classes."""
-    if y < x:
-        x, y = y, x
-    return _min_pair_cached(x, y)
+    return _pair_hull_cached(*sorted((x, y)), max)
 
 
 def maxconv_pair(x, y):
     """Max-convex hull of two vertices, as a frozenset of classes."""
-    if y < x:
-        x, y = y, x
-    return _max_pair_cached(x, y)
+    return _pair_hull_cached(*sorted((x, y)), min)
 
 
 def conv_pair(x, y):
@@ -87,17 +74,21 @@ def conv_pair(x, y):
 
 
 def _pairwise_closure(vertices, pair_hull):
+    """Fixpoint of ``pair_hull`` by a worklist: each vertex, old or new, is
+    paired once with every vertex taken before it, so each unordered pair of
+    the closure is requested exactly once."""
     verts = set(vertices)
     if not verts:
         raise ValueError("hull of an empty vertex set")
-    changed = True
-    while changed:
-        changed = False
-        for x, y in combinations(sorted(verts), 2):
+    todo = sorted(verts)
+    done = []
+    while todo:
+        x = todo.pop()
+        for y in done:
             new = pair_hull(x, y) - verts
-            if new:
-                verts |= new
-                changed = True
+            verts |= new
+            todo.extend(sorted(new))
+        done.append(x)
     return frozenset(verts)
 
 

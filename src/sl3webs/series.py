@@ -13,8 +13,8 @@ column operations may be reduced mod ``t^M`` without moving ``L``.
 
 The two normal forms computed here are a column Hermite form over the
 valuation ring ``O = k[[t]]`` (canonical bases for lattices) and the
-elementary-divisor exponents of a nonsingular square matrix (relative
-position of two lattices).
+elementary-divisor exponents of a nonsingular square matrix together with
+the basis that diagonalizes it (relative position of two lattices).
 """
 
 from __future__ import annotations
@@ -526,12 +526,17 @@ def hermite_over_O(mat):
     return LaurentMatrix.from_columns(field, out)
 
 
-def smith_exponents(mat):
-    """Elementary-divisor exponents of a nonsingular 3 x 3 matrix over O[t^-1].
+def smith_form(mat):
+    """Elementary divisors of a nonsingular 3 x 3 matrix over O[t^-1], with a basis.
 
-    Returns the descending triple ``(a_1 >= a_2 >= a_3)`` such that
-    ``U * mat * V = diag(t^a_3, t^a_2, t^a_1)`` for some matrices ``U, V``
-    invertible over ``O``.  Raises :class:`SingularMatrix` when ``det = 0``.
+    Returns ``(exps, basis)``: exponents ``e_1 <= e_2 <= e_3`` and a matrix
+    whose columns ``w_i`` are an O-basis of ``O^3`` with the columns of
+    ``mat`` spanning ``<t^(e_i) w_i>``.  Raises :class:`SingularMatrix` when
+    ``det = 0``.  Each row operation is recorded inverted in ``basis``
+    (subtracting ``q`` times row ``r`` from row ``i`` adds ``q * w_i`` to
+    ``w_r``).  The elimination runs modulo ``t^order``, which cannot move the
+    double coset; ``basis`` is kept modulo ``t^prec``, and ``prec`` exceeds
+    ``e_3 - e_1``, so it cannot move ``<t^(e_i) w_i>``.
     """
     if mat.nrows != 3 or mat.ncols != 3:
         raise ValueError("expected a 3 x 3 matrix")
@@ -540,11 +545,14 @@ def smith_exponents(mat):
         raise SingularMatrix("matrix is singular over K")
     m = mat.minval()
     order = d.val() - 2 * m + 1
+    prec = order - min(m, 0)
     field = mat.field
     grid = [[mat.entry(i, j).truncate(order) for j in range(3)] for i in range(3)]
+    basis = LaurentMatrix.identity(field).columns()
     rows = [0, 1, 2]
     cols = [0, 1, 2]
     exps = []
+    pivot_rows = []
     while rows:
         pi, pj = None, None
         for i in rows:
@@ -556,7 +564,8 @@ def smith_exponents(mat):
             raise SingularMatrix("ran out of pivots")
         a = grid[pi][pj].val()
         exps.append(a)
-        inv = unit_inverse_trunc(grid[pi][pj].shift(-a), order - min(m, 0))
+        pivot_rows.append(pi)
+        inv = unit_inverse_trunc(grid[pi][pj].shift(-a), prec)
         for i in rows:
             grid[i][pj] = (grid[i][pj] * inv).truncate(order)
         grid[pi][pj] = LaurentScalar.monomial(field, a)
@@ -567,6 +576,9 @@ def smith_exponents(mat):
             for j in cols:
                 grid[i][j] = (grid[i][j] - q * grid[pi][j]).truncate(order)
             grid[i][pj] = LaurentScalar.zero(field)
+            basis[pi] = [
+                (u + q * w).truncate(prec) if w.terms else u for u, w in zip(basis[pi], basis[i])
+            ]
         for j in cols:
             if j == pj or grid[pi][j].is_zero():
                 continue
@@ -580,7 +592,17 @@ def smith_exponents(mat):
         raise InvariantViolated("pivot valuations not nondecreasing")
     if sum(exps) != d.val():
         raise InvariantViolated("exponent sum disagrees with det valuation")
-    return tuple(reversed(exps))
+    return tuple(exps), LaurentMatrix.from_columns(field, [basis[i] for i in pivot_rows])
+
+
+def smith_exponents(mat):
+    """Elementary-divisor exponents of a nonsingular 3 x 3 matrix over O[t^-1].
+
+    Returns the descending triple ``(a_1 >= a_2 >= a_3)`` such that
+    ``U * mat * V = diag(t^a_3, t^a_2, t^a_1)`` for some matrices ``U, V``
+    invertible over ``O``.  Raises :class:`SingularMatrix` when ``det = 0``.
+    """
+    return tuple(reversed(smith_form(mat)[0]))
 
 
 def solve_upper_triangular(tri, vec):

@@ -23,12 +23,13 @@ from .building import (
     OMEGA2,
     ZERO_WEIGHT,
     LatticeClass,
+    _normalized_class,
     _sample_coeff,
-    class_from_generators,
+    apartment_lattice,
+    common_apartment,
     distance,
     dual_weight,
     lattice_dual,
-    lattice_meet,
     letter_weight,
     random_step,
     step_to_line,
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .growth import _padded, _unpadded, complete_from_row
 from .hulls import induced_complex, path_hull_fastpath
-from .series import GF, invert_upper_triangular, solve_upper_triangular
+from .series import GF, hermite_over_O, solve_upper_triangular
 from .webs import Diskoid, dualize
 
 __all__ = [
@@ -411,18 +412,19 @@ def _residue_strata(x, anchor):
     """Residue filtration of x by the scaled copies of the anchor lattice.
 
     The subspace at stage a is spanned by residues of the intersection
-    with the anchor scaled by t^a; it shrinks from everything to zero as a
-    grows.  Returns the jumps as (basis, sub_basis) pairs: lines inside
+    with the anchor scaled by t^a, read off the pair's common apartment; it
+    shrinks from everything to zero as a grows from -max e to 1 - min e.
+    Returns the jumps as (basis, sub_basis) pairs: lines inside
     one stage but not the next land at the same distance from the anchor,
     because the common stabilizer of the two lattices surjects onto the
     parabolic of the filtration.
     """
     field = x.field
-    lo = (invert_upper_triangular(anchor.basis) * x.basis).minval()
-    hi = 1 - (invert_upper_triangular(x.basis) * anchor.basis).minval()
+    apartment = common_apartment(x.basis, anchor.basis)
+    exps = apartment[0]
     stages = []
-    for a in range(lo, hi + 1):
-        meet = lattice_meet(x.basis, anchor.basis.shift(a))
+    for a in range(-exps[2], 2 - exps[0]):
+        meet = hermite_over_O(apartment_lattice(apartment, a, max))
         rows = _echelon(field, [_residue_vector(x, col) for col in meet.columns()])
         stages.append(rows)
     if len(stages[0]) != 3 or stages[-1]:
@@ -466,7 +468,7 @@ def _conditioned_line(x, anchor, target, rng):
 
 
 def _dual_class(x):
-    return class_from_generators(lattice_dual(x.basis).columns(), x.field)
+    return _normalized_class(lattice_dual(x.basis))
 
 
 def conditioned_step(x, letter, anchor, target, rng):

@@ -798,6 +798,14 @@ def web_from_json(obj):
     records = [x for r in recs for x in (r if isinstance(r, list) else [None])]
     if not all(isinstance(x, list) and len(x) == 2 and _ids(x[:1], m) for x in records):
         raise MalformedJSON(f"web field 'rotations' must hold lists of [edge below {m}, flag]")
+    if not all(
+        type(flag) is int and flag in (0, 1) and edges[eid][flag] == v
+        for v, r in enumerate(recs)
+        for eid, flag in r
+    ):
+        raise MalformedJSON(
+            "web field 'rotations' flags must be 0 at the edge's source and 1 at its target"
+        )
     if not _ids(boundary, n):
         raise MalformedJSON(f"web field 'boundary' must hold vertex ids below {n}")
     return web_from_edges(

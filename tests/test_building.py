@@ -9,16 +9,20 @@ from sl3webs.building import (
     ZERO_WEIGHT,
     LatticeClass,
     adjacent,
+    apartment_lattice,
     class_from_generators,
     class_from_json,
+    common_apartment,
     common_neighbor,
     distance,
     dual_weight,
     join,
     lattice_contains,
+    lattice_dual,
     lattice_join,
     lattice_meet,
     meet,
+    pair_chain,
     random_step,
     step_to_line,
     step_to_plane,
@@ -26,7 +30,7 @@ from sl3webs.building import (
     weight_components,
 )
 from sl3webs.errors import PreconditionViolated, RankDeficient
-from sl3webs.series import GF, QQ, LaurentMatrix, LaurentScalar
+from sl3webs.series import GF, QQ, LaurentMatrix, LaurentScalar, hermite_over_O
 
 F3 = GF(3)
 
@@ -305,3 +309,116 @@ def test_json_roundtrip():
     obj = x.to_json()
     assert obj["field"] == "Fp" and obj["p"] == 11
     assert class_from_json(obj) == x
+
+
+def test_field_is_part_of_class_identity():
+    q, f5 = LatticeClass.standard(QQ), LatticeClass.standard(GF(5))
+    assert q.key() == f5.key()
+    assert q != f5 and len({q, f5}) == 2
+    assert q == LatticeClass.standard(QQ) and hash(q) == hash(LatticeClass.standard(QQ))
+    assert f5 == LatticeClass.standard(GF(5))
+    # within one field, classes still sort by their basis
+    for field in (QQ, GF(5)):
+        a, b = diag_class(field, (0, 1, 2)), diag_class(field, (2, 1, 0))
+        assert (a < b) == (a.key() < b.key()) and (b < a) == (b.key() < a.key())
+
+
+def dual_meet(a, b):
+    """L_a meet L_b through duality: (L_a meet L_b)* = L_a* + L_b*."""
+    return lattice_dual(lattice_join(lattice_dual(a), lattice_dual(b)))
+
+
+def oracle_chain(x, z, combine, shifts):
+    """A pair chain by its definition: every shift, deduplicated in order."""
+    out = []
+    for a in shifts:
+        c = class_from_generators(combine(x.basis, z.basis.shift(a)))
+        if c not in out:
+            out.append(c)
+    return out
+
+
+def random_class(rng, field):
+    while True:
+        cols = [
+            [
+                LaurentScalar(field, {e: rng.randrange(1, 5) for e in rng.sample(range(-2, 3), 2)})
+                for _ in range(3)
+            ]
+            for _ in range(3)
+        ]
+        try:
+            return class_from_generators(cols, field)
+        except RankDeficient:
+            continue
+
+
+def random_pairs(rng, field, count=4):
+    for k in range(count):
+        x = random_class(rng, field)
+        if k % 2:
+            z = random_class(rng, field)
+        else:
+            z = x
+            for _ in range(rng.randrange(4)):
+                z = random_step(z, rng.choice([OMEGA1, OMEGA2]), rng)
+        yield x, z
+
+
+# The common apartment of this pair over GF(7) has exponents (-3, -3, 2): its
+# basis needs more precision than the elimination of the matrix itself.
+WIDE_PAIR = (
+    {"field": "Fp", "p": 7, "columns": [
+        [[{"e": 3, "c": 1}], [], []],
+        [[], [{"e": 3, "c": 1}], []],
+        [[{"e": 0, "c": 5}, {"e": 1, "c": 6}, {"e": 2, "c": 1}],
+         [{"e": 0, "c": 4}, {"e": 1, "c": 1}, {"e": 2, "c": 2}], [{"e": 0, "c": 1}]],
+    ]},
+    {"field": "Fp", "p": 7, "columns": [
+        [[{"e": 2, "c": 1}], [], []],
+        [[{"e": 0, "c": 1}, {"e": 1, "c": 2}], [{"e": 0, "c": 1}], []],
+        [[{"e": 0, "c": 4}, {"e": 1, "c": 1}], [], [{"e": 0, "c": 1}]],
+    ]},
+)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(10007)], ids=repr)
+def test_common_apartment_and_pair_chains(field):
+    rng = random.Random(31 + (field.p or 0))
+    pairs = list(random_pairs(rng, field))
+    if field == GF(7):
+        wide = tuple(class_from_json(obj) for obj in WIDE_PAIR)
+        assert common_apartment(*(c.basis for c in wide))[0] == (-3, -3, 2)
+        pairs.append(wide)
+    for x, z in pairs:
+        exps, g = common_apartment(x.basis, z.basis)
+        assert list(exps) == sorted(exps)
+        assert hermite_over_O(g) == x.basis
+        scaled = [[f.shift(e) for f in col] for e, col in zip(exps, g.columns())]
+        assert hermite_over_O(LaurentMatrix.from_columns(field, scaled)) == z.basis
+        assert distance(x, z) == dual_weight(exps)
+        # L_x meet t^a L_z and L_x + t^a L_z, read off the apartment
+        for a in range(-exps[2] - 1, 2 - exps[0]):
+            assert hermite_over_O(apartment_lattice((exps, g), a, max)) == dual_meet(
+                x.basis, z.basis.shift(a)
+            )
+            assert hermite_over_O(apartment_lattice((exps, g), a, min)) == lattice_join(
+                x.basis, z.basis.shift(a)
+            )
+        n = steps(distance(x, z))
+        assert pair_chain(x, z, max) == oracle_chain(x, z, dual_meet, range(-(n + 1), n + 2))
+        assert pair_chain(x, z, min) == oracle_chain(x, z, lattice_join, range(n + 1, -(n + 2), -1))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)
+def test_lattice_meet_matches_duality(field):
+    rng = random.Random(41 + (field.p or 0))
+    for _ in range(6):
+        a, b = random_class(rng, field).basis, random_class(rng, field).basis
+        # generating sets that are not canonical bases, one of them not square
+        gens = a.hstack(a.shift(1))
+        mixed = LaurentMatrix.from_columns(field, [
+            [u + v for u, v in zip(b.column(0), b.column(2))], b.column(1), b.column(2)
+        ])
+        for x, y in ((a, b), (b.shift(-2), a), (gens, mixed)):
+            assert lattice_meet(x, y) == dual_meet(x, y)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import pathlib
@@ -62,6 +63,16 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert invoke(capsys, "frobnicate")[0] == 2
 
 
+def basis_web_with_flag(flag):
+    """A basis web of 121212 whose first rotation record carries ``flag``;
+    ``None`` flips the record's true flag."""
+    d = enumerate_diagrams((1, 2, 1, 2, 1, 2))[0]
+    doc = web_to_json(dualize(diskoid_from_diagram(d)))
+    record = next(r for r in doc["rotations"] if r)[0]
+    record[1] = 1 - record[1] if flag is None else flag
+    return doc
+
+
 @pytest.mark.parametrize(
     "argv, doc, field",
     [
@@ -76,6 +87,8 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
          "'rotations'"),
         (("dualize", "-"), {"n_vertices": 2}, "'arrows'"),
         (("promote", "-"), [1], "growth diagram"),
+        (("reduce", "-"), basis_web_with_flag(None), "'rotations'"),
+        (("reduce", "-"), basis_web_with_flag(7), "'rotations'"),
     ],
 )
 def test_malformed_json_is_a_domain_error(capsys, argv, doc, field):
@@ -266,3 +279,40 @@ def test_verify_geometric(capsys):
     code, out, err = invoke(capsys, "verify", "1212", "--geometric", "--seed", "3")
     assert code == 0
     assert out.splitlines()[-1] == "all 2 components verified"
+
+
+#: SHA-1 of :func:`_geometric_transcript`.  Any change to the seeded random
+#: stream, to the realized lattices or to a hull's vertex order changes it.
+GEOMETRIC_GUARD_SHA1 = "f2cb36ec16ec954642e33e96eb1e18d66da412bd"
+
+
+def _geometric_transcript(capsys, tmp_path):
+    """Stdout of seeded ``realize``, ``hull``, ``distance`` and ``verify
+    --geometric`` runs over Q, GF(3) and GF(10007), joined in a fixed order."""
+    parts = []
+
+    def call(*argv):
+        code, out, _err = invoke(capsys, *argv)
+        parts.append(f"{code}\n{out}")
+        return out
+
+    for word, count in (("1212", 2), ("121212", 6), ("111222", 6)):
+        for i in range(count):
+            for field in (("--field", "Q"), ("--p", "3"), ()):
+                for seed in ("0", "7"):
+                    call("realize", word, "--component", str(i), "--seed", seed, *field)
+    realized = tmp_path / "realized.json"
+    realized.write_text(call("realize", "121212", "--component", "3", "--field", "Q"))
+    for path in (octagon_polygon_file(tmp_path), str(realized)):
+        for kind in ("--min", "--max", "--conv"):
+            call("hull", kind, path)
+        for i, j in ((0, 2), (1, 4), (5, 3)):
+            call("distance", path, str(i), str(j))
+    for word in ("1212", "121212", "112212"):
+        call("verify", word, "--geometric", "--seed", "3")
+    return "".join(parts).encode()
+
+
+def test_seeded_geometric_output_is_unchanged(capsys, tmp_path):
+    transcript = _geometric_transcript(capsys, tmp_path)
+    assert hashlib.sha1(transcript).hexdigest() == GEOMETRIC_GUARD_SHA1
