@@ -53,7 +53,12 @@ class Web:
     - ``boundary`` -- univalent vertex ids in cyclic order, basepoint first
     - ``free_loops`` -- number of closed circles carrying no vertices
 
-    Interior vertices must be trivalent with a consistent direction sense.
+    ``Web(...)`` checks its input: every dart sits in exactly one rotation,
+    interior vertices are trivalent with a consistent direction sense, and
+    every connected component is a planar map (V - E + F = 2).
+    ``web_from_edges`` and ``web_from_json`` build through it.
+    ``Web._trusted`` checks nothing; ``reduce_web`` builds its
+    intermediate webs with it from webs that passed the checks.
     """
 
     __slots__ = ("rot", "src", "boundary", "free_loops", "_vert", "_enc")
@@ -98,6 +103,36 @@ class Web:
                 outs = {self.src[d // 2] == d for d in r}
                 if len(outs) != 1:
                     raise ValueError(f"interior vertex {v} mixes edge directions")
+
+        # V - E + F is at most 2 on each connected component, so it is 2 on
+        # every one exactly when it sums to twice the number of components
+        seen = [False] * len(self.rot)
+        n_comp = 0
+        for v0 in range(len(self.rot)):
+            if seen[v0]:
+                continue
+            n_comp += 1
+            seen[v0] = True
+            stack = [v0]
+            while stack:
+                for d in self.rot[stack.pop()]:
+                    u = vert[d ^ 1]
+                    if not seen[u]:
+                        seen[u] = True
+                        stack.append(u)
+        genus = n_comp - (len(self.rot) - len(self.src) + len(faces(self))) // 2
+        if genus:
+            raise ValueError(f"rotations are not planar: genus {genus}")
+
+    @classmethod
+    def _trusted(cls, rot, src, boundary, free_loops, vert):
+        """Web from tuples that already satisfy every check of ``Web(...)``;
+        ``vert`` is the vertex of each dart."""
+        w = object.__new__(cls)
+        w.rot, w.src, w.boundary, w.free_loops = rot, src, boundary, free_loops
+        w._vert = vert
+        w._enc = None
+        return w
 
     # -- basic accessors ------------------------------------------------
 
@@ -204,39 +239,36 @@ def rotate(w):
 # -- faces ---------------------------------------------------------------
 
 
-def _face_next(w, dart):
-    # walk the dart to its far end, then take the rotation predecessor of
-    # the reversed dart: with counterclockwise rotations this traces the
-    # face lying on the left of the dart
-    other = dart ^ 1
-    r = w.rot[w.vert(other)]
-    i = r.index(other)
-    return r[(i - 1) % len(r)]
-
-
 def faces(w):
     """All face traces, each a tuple of darts in walking order."""
-    seen = set()
+    # walk each dart to its far end, then take the rotation predecessor of
+    # the reversed dart: with counterclockwise rotations this traces the
+    # face lying on the left of the dart
+    n_darts = 2 * len(w.src)
+    prev = [0] * n_darts
+    for r in w.rot:
+        for i, d in enumerate(r):
+            prev[d] = r[i - 1]
+    seen = [False] * n_darts
     out = []
-    for d0 in range(2 * w.n_edges):
-        if d0 in seen:
+    for d0 in range(n_darts):
+        if seen[d0]:
             continue
         trace = []
         d = d0
-        while d not in seen:
-            seen.add(d)
+        while not seen[d]:
+            seen[d] = True
             trace.append(d)
-            d = _face_next(w, d)
+            d = prev[d ^ 1]
         out.append(tuple(trace))
     return out
 
 
 def internal_faces(w):
     """Faces that never touch a boundary vertex."""
-    bset = set(w.boundary)
-    return [
-        f for f in faces(w) if all(w.vert(d) not in bset for d in f)
-    ]
+    # a boundary vertex is univalent, so a face touches it through its dart
+    legs = {w.rot[v][0] for v in w.boundary}
+    return [f for f in faces(w) if legs.isdisjoint(f)]
 
 
 def is_nonelliptic(w):
@@ -434,16 +466,17 @@ def _excise(w, dead_vertices, dead_edges, pairs):
             cur = partner[b if a == cur else a]
 
     # rebuild: surviving edges keep their relative order, then chain edges
-    gone_edges = set(dead_edges) | chain_edges | loop_edges
+    gone = [False] * w.n_edges
+    for e in (*dead_edges, *chain_edges, *loop_edges):
+        gone[e] = True
     new_src = []
-    dart_map = {}
-    for e in range(w.n_edges):
-        if e in gone_edges:
+    dart_map = [None] * (2 * w.n_edges)
+    for e, s in enumerate(w.src):
+        if gone[e]:
             continue
         ne = len(new_src)
         dart_map[2 * e] = 2 * ne
         dart_map[2 * e + 1] = 2 * ne + 1
-        s = w.src[e]
         new_src.append(2 * ne + (s & 1))
     for segs in chains:
         ne = len(new_src)
@@ -456,20 +489,29 @@ def _excise(w, dead_vertices, dead_edges, pairs):
         dart_map[d_b] = 2 * ne + 1
         new_src.append(2 * ne if a_is_source else 2 * ne + 1)
 
-    vert_map = {}
+    vert_map = [None] * w.n_vertices
     new_rot = []
-    for v in range(w.n_vertices):
+    new_vert = [None] * (2 * len(new_src))
+    for v, r in enumerate(w.rot):
         if v in dead_vset:
             continue
-        vert_map[v] = len(new_rot)
-        new_rot.append([dart_map[d] for d in w.rot[v]])
-    boundary = [vert_map[v] for v in w.boundary]
-    return Web(new_rot, new_src, boundary, w.free_loops + extra_loops)
+        nv = vert_map[v] = len(new_rot)
+        r = tuple([dart_map[d] for d in r])
+        for d in r:
+            new_vert[d] = nv
+        new_rot.append(r)
+    return Web._trusted(
+        tuple(new_rot),
+        tuple(new_src),
+        tuple([vert_map[v] for v in w.boundary]),
+        w.free_loops + extra_loops,
+        tuple(new_vert),
+    )
 
 
-def _reducible_faces(w):
+def _reducible_faces(w, internal):
     out = []
-    for f in internal_faces(w):
+    for f in internal:
         if len(f) < 6:
             if len(f) not in (2, 4):
                 raise InvariantViolated(f"odd internal face {f}")
@@ -518,10 +560,11 @@ def reduce_web(w, rng=None):
         coeff, cur = agenda.pop()
         if cur.free_loops:
             coeff *= 3 ** cur.free_loops
-            cur = Web(cur.rot, cur.src, cur.boundary, 0)
-        cands = _reducible_faces(cur)
+            cur = Web._trusted(cur.rot, cur.src, cur.boundary, 0, cur._vert)
+        internal = internal_faces(cur)
+        cands = _reducible_faces(cur, internal)
         if not cands:
-            if not is_nonelliptic(cur):
+            if any(len(f) < 6 for f in internal):
                 raise InvariantViolated("terminal web still has a small face")
             out[cur] = out.get(cur, 0) + coeff
             continue

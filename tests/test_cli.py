@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import pathlib
+import random
 import sys
 
 import pytest
@@ -13,7 +14,14 @@ from sl3webs.building import distance, lattice_to_json
 from sl3webs.cli import run
 from sl3webs.growth import diagram_from_json, enumerate_diagrams
 from sl3webs.synthesis import diskoid_from_diagram
-from sl3webs.webs import diskoid_to_json, dualize, iso, web_from_json, web_to_json
+from sl3webs.webs import (
+    diskoid_to_json,
+    dualize,
+    iso,
+    reduce_web,
+    web_from_json,
+    web_to_json,
+)
 
 
 def invoke(capsys, *argv, stdin=None):
@@ -89,6 +97,11 @@ def basis_web_with_flag(flag):
         (("promote", "-"), [1], "growth diagram"),
         (("reduce", "-"), basis_web_with_flag(None), "'rotations'"),
         (("reduce", "-"), basis_web_with_flag(7), "'rotations'"),
+        # a theta whose rotations agree at both vertices: one face, genus 1
+        (("reduce", "-"),
+         {"edges": [[0, 1]] * 3, "rotations": [[[e, f] for e in range(3)] for f in (0, 1)],
+          "boundary": []},
+         "not planar"),
     ],
 )
 def test_malformed_json_is_a_domain_error(capsys, argv, doc, field):
@@ -316,3 +329,47 @@ def _geometric_transcript(capsys, tmp_path):
 def test_seeded_geometric_output_is_unchanged(capsys, tmp_path):
     transcript = _geometric_transcript(capsys, tmp_path)
     assert hashlib.sha1(transcript).hexdigest() == GEOMETRIC_GUARD_SHA1
+
+
+#: SHA-1 of :func:`_reduction_transcript`.  Any change to which terms
+#: ``reduce_web`` returns, to their vertex and edge numbering or to their
+#: order changes it.
+REDUCTION_GUARD_SHA1 = "9627bb74b731fb766c6b6c60546e44b3fc38d55b"
+
+
+def _reduction_corpus():
+    """Seeded open and closed elliptic webs grown by ``tests/webgen``."""
+    from fixtures import hexagon_tripods_diskoid, octagon_wheel_diskoid
+    from webgen import random_elliptic
+
+    bases = [dualize(octagon_wheel_diskoid()), dualize(hexagon_tripods_diskoid())]
+    for word in ("121212", "111222", "12121212"):
+        bases += sl3webs.basis_webs(word)
+    rng = random.Random(20261019)
+    webs = [random_elliptic(bases[rng.randrange(len(bases))], rng, inserts=4) for _ in range(40)]
+    webs += [random_elliptic(theta_web(), rng, inserts=3) for _ in range(12)]
+    return webs
+
+
+def _reduction_transcript(capsys, tmp_path):
+    """JSON of ``reduce_web`` over the corpus, in the default and in
+    ``rng``-driven rewrite orders, then ``sl3webs reduce`` stdout on a few
+    of its webs written to files."""
+    parts = []
+    corpus = _reduction_corpus()
+    for i, w in enumerate(corpus):
+        parts.append(json.dumps(reduce_web(w).to_json(), sort_keys=True))
+        if i % 3 == 0:
+            combo = reduce_web(w, random.Random(i))
+            parts.append(json.dumps(combo.to_json(), sort_keys=True))
+    for i in (0, 7, 19, 41, 47):
+        path = tmp_path / f"web{i}.json"
+        path.write_text(json.dumps(web_to_json(corpus[i])))
+        code, out, _err = invoke(capsys, "reduce", str(path))
+        parts.append(f"{code}\n{out}")
+    return "\n".join(parts).encode()
+
+
+def test_seeded_reduction_output_is_unchanged(capsys, tmp_path):
+    transcript = _reduction_transcript(capsys, tmp_path)
+    assert hashlib.sha1(transcript).hexdigest() == REDUCTION_GUARD_SHA1

@@ -62,6 +62,9 @@ def test_web_validation():
     # interior vertex with mixed in/out edges
     with pytest.raises(ValueError):
         web_from_edges([(0, 1), (1, 2), (3, 1)], boundary=(0, 2, 3))
+    # twisted theta: one face of 6 darts, so V - E + F = 0
+    with pytest.raises(ValueError, match="genus 1"):
+        web_from_edges([(0, 1)] * 3, (), rotations={0: [0, 1, 2], 1: [0, 1, 2]})
 
 
 def test_empty_web_and_loops():
