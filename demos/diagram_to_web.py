@@ -8,9 +8,6 @@ polygon), and its planar dual is the basis web.
 
 from sl3webs import dualize, enumerate_diagrams
 from sl3webs.synthesis import (
-    ElbowMove,
-    SharpCornerRemoval,
-    UTurnRemoval,
     diskoid_from_diagram,
     find_double_elbow,
     find_sharp,
@@ -27,11 +24,11 @@ print("sharp corner site:", find_sharp(d))
 print("double elbow (site, span):", find_double_elbow(d))
 
 base, log = reduce_to_base(d)
-names = {UTurnRemoval: "u-turn", SharpCornerRemoval: "sharp", ElbowMove: "elbow"}
+names = {"uturn": "u-turn", "sharp": "sharp", "elbow": "elbow"}
 print()
 print(f"reduced to the 2-gon of type {''.join(map(str, base.word))} in {len(log.moves)} moves:")
 for move in log.moves:
-    print(f"  {names[type(move)]:>6} at {move.index}")
+    print(f"  {names[move.kind]:>6} at {move.index}")
 
 disk = diskoid_from_diagram(d)
 print()

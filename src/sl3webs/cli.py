@@ -32,7 +32,8 @@ from .growth import (
     parse_word,
 )
 from .hulls import conv, induced_complex, maxconv, minconv
-from .series import GF, QQ
+from .errors import MalformedJSON
+from .series import DEFAULT_PRIME, GF, QQ
 from .synthesis import cross_validate, diskoid_from_diagram, realize_polygon
 from .webs import (
     boundary_word,
@@ -98,7 +99,10 @@ def _load_polygon(path):
     data = _load_json(path)
     if not isinstance(data, list) or not data:
         raise ValueError("polygon file must be a nonempty JSON array of lattices")
-    return [class_from_json(obj) for obj in data]
+    classes = [class_from_json(obj) for obj in data]
+    if len({x.field for x in classes}) > 1:
+        raise MalformedJSON("all lattices of a polygon file must share one field")
+    return classes
 
 
 def _polygon_json(classes):
@@ -196,7 +200,7 @@ def _cmd_realize(args):
             raise _UsageError("--p only applies to --field Fp")
         field = QQ
     else:
-        field = GF(args.p if args.p is not None else 10007)
+        field = GF(args.p if args.p is not None else DEFAULT_PRIME)
     rng = derived_rng(args.seed, "realize", "".join(map(str, word)), args.component)
     poly = realize_polygon(d, rng, field=field)
     _print_json(_polygon_json(poly.classes))

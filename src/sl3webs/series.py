@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import inf
 
-from .errors import InvariantViolated, RankDeficient, SingularMatrix
+from .errors import InvariantViolated, MalformedJSON, RankDeficient, SingularMatrix, json_fields
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -108,7 +108,9 @@ class CoefficientField:
     def coeff_from_json(self, obj):
         if self.p is None:
             return Fraction(obj)
-        return int(obj) % self.p
+        if not isinstance(obj, int) or isinstance(obj, bool):
+            raise MalformedJSON(f"F_p coefficient must be an int, got {obj!r}")
+        return obj % self.p
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.p == other.p
@@ -276,9 +278,11 @@ class LaurentScalar:
 
     @classmethod
     def from_json(cls, field, obj):
-        return cls(
-            field, {int(t["e"]): field.coeff_from_json(t["c"]) for t in obj}
-        )
+        terms = {}
+        for t in obj:
+            (e,) = json_fields(t, "Laurent term", e=int)
+            terms[e] = field.coeff_from_json(t["c"])
+        return cls(field, terms)
 
     def __repr__(self):
         return f"<{self.to_text()}>"

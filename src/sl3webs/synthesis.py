@@ -12,8 +12,8 @@ non-elliptic web.
 The other direction is geometric: ``realize_polygon`` builds actual
 lattice classes matching the diagram, sampling each step inside the
 residue stratum that keeps the prescribed distance to an anchor vertex,
-and ``cross_validate`` checks the hull of the realization against the
-combinatorial diskoid, vertex by vertex.
+and ``cross_validate`` turns the hull of the realization into a diskoid and
+checks that its dual web is the combinatorial one.
 """
 
 import random
@@ -37,17 +37,19 @@ from .building import (
 )
 from .errors import (
     InvariantViolated,
+    MalformedDiskoid,
     NoDoubleElbow,
     PreconditionViolated,
     RealizationFailed,
 )
 from .growth import _padded, _unpadded, complete_from_row
 from .hulls import induced_complex, path_hull_fastpath
-from .series import GF, hermite_over_O, solve_upper_triangular
-from .webs import Diskoid, dualize
+from .series import DEFAULT_PRIME, GF, hermite_over_O, solve_upper_triangular
+from .webs import Diskoid, canonical_encoding, dualize
 
 __all__ = [
     "ElbowMove",
+    "Move",
     "MoveLog",
     "RealizedPolygon",
     "SharpCornerRemoval",
@@ -122,28 +124,41 @@ def find_double_elbow(d):
     raise NoDoubleElbow(f"no double elbow in diagram of type {''.join(map(str, w))}")
 
 
-class UTurnRemoval:
-    __slots__ = ("index",)
+_MOVE_NAMES = {"uturn": "UTurnRemoval", "sharp": "SharpCornerRemoval", "elbow": "ElbowMove"}
 
-    def __init__(self, index):
+
+class Move:
+    """One reduction move: ``kind`` is ``"uturn"``, ``"sharp"`` or
+    ``"elbow"``, and ``index`` the position it applies at."""
+
+    __slots__ = ("kind", "index")
+
+    def __init__(self, kind, index):
+        if kind not in _MOVE_NAMES:
+            raise ValueError(f"unknown move kind {kind!r}")
+        self.kind = kind
         self.index = int(index)
 
     def __eq__(self, other):
-        return type(other) is type(self) and other.index == self.index
+        return isinstance(other, Move) and (other.kind, other.index) == (self.kind, self.index)
 
     def __hash__(self):
-        return hash((type(self).__name__, self.index))
+        return hash((self.kind, self.index))
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.index})"
+        return f"{_MOVE_NAMES[self.kind]}({self.index})"
 
 
-class SharpCornerRemoval(UTurnRemoval):
-    __slots__ = ()
+def UTurnRemoval(index):
+    return Move("uturn", index)
 
 
-class ElbowMove(UTurnRemoval):
-    __slots__ = ()
+def SharpCornerRemoval(index):
+    return Move("sharp", index)
+
+
+def ElbowMove(index):
+    return Move("elbow", index)
 
 
 class MoveLog:
@@ -184,12 +199,13 @@ class MoveLog:
 
 
 def apply_move(d, move):
-    if isinstance(move, ElbowMove):
-        return elbow_move(d, move.index)
-    if isinstance(move, SharpCornerRemoval):
-        return remove_sharp(d, move.index)
-    if isinstance(move, UTurnRemoval):
+    kind = move.kind if isinstance(move, Move) else None
+    if kind == "uturn":
         return remove_uturn(d, move.index)
+    if kind == "sharp":
+        return remove_sharp(d, move.index)
+    if kind == "elbow":
+        return elbow_move(d, move.index)
     raise TypeError(f"not a move: {move!r}")
 
 
@@ -334,7 +350,7 @@ def diskoid_from_diagram(d):
         w = before.word
         here = w[i - 1]
         after = w[i % before.n]
-        if isinstance(move, ElbowMove):
+        if move.kind == "elbow":
             v_old = n_vertices
             n_vertices += 1
             v_new = walk[1]
@@ -344,7 +360,7 @@ def diskoid_from_diagram(d):
             triangles.append((walk[0], v_old, v_new))
             triangles.append((v_old, walk[2], v_new))
             new_walk = [walk[0], v_old] + walk[2:]
-        elif isinstance(move, SharpCornerRemoval):
+        elif move.kind == "sharp":
             v2 = n_vertices
             n_vertices += 1
             arrows.append(_arrow(walk[0], v2, here))
@@ -459,12 +475,7 @@ def _conditioned_line(x, anchor, target, rng):
         return None
     big, small = matches[rng.randrange(len(matches))] if len(matches) > 1 else matches[0]
     v = _stratum_sample(x.field, rng, big, small)
-    if v is None:
-        return None
-    y = step_to_line(x, v)
-    if distance(anchor, y) != target:
-        raise InvariantViolated("stratum sample moved off its orbit")
-    return y
+    return None if v is None else step_to_line(x, v)
 
 
 def _dual_class(x):
@@ -541,13 +552,7 @@ def _attempt_realization(d, rng, field):
     x[n - 1] = conditioned_step(
         x[n - 2], w[n - 3], x[n], dual_weight(letter_weight(w[n - 2])), rng
     )
-    if x[n - 1] is None:
-        return None
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if distance(x[i], x[j]) != _weight(d.entry(i, j)):
-                return None
-    return x[1:]
+    return None if x[n - 1] is None else x[1:]
 
 
 def realize_polygon(d, rng, retry_cap=1000, field=None):
@@ -558,25 +563,31 @@ def realize_polygon(d, rng, retry_cap=1000, field=None):
     - ``d`` -- growth diagram
     - ``rng`` -- source of randomness
     - ``retry_cap`` -- attempts before giving up
-    - ``field`` -- coefficient field; default GF(10007)
+    - ``field`` -- coefficient field; default ``GF(DEFAULT_PRIME)``
 
     OUTPUT: a :class:`RealizedPolygon`.  Each attempt walks the polygon
     once: vertex 1 is the standard class, vertices 2 .. n-2 are stepped
     forward conditioned on their distance from vertex 1, vertex n is
     stepped from vertex 1 backwards conditioned on vertex n-2, and vertex
     n-1 closes the gap conditioned on vertex n.  Any unsatisfiable
-    condition or a failed full distance check discards the attempt.
+    condition discards the attempt, and so does a polygon that
+    :class:`RealizedPolygon` rejects: over a small field a draw that meets
+    every condition can still bring two other vertices too close.
     Raises :class:`~sl3webs.errors.RealizationFailed` when the cap runs
     out.
     """
     if retry_cap < 1:
         raise PreconditionViolated("retry_cap must be at least 1")
     if field is None:
-        field = GF(10007)
+        field = GF(DEFAULT_PRIME)
     for _ in range(retry_cap):
         classes = _attempt_realization(d, rng, field)
-        if classes is not None:
+        if classes is None:
+            continue
+        try:
             return RealizedPolygon(classes, d)
+        except PreconditionViolated:
+            pass
     raise RealizationFailed(
         f"no generic polygon of type {''.join(map(str, d.word))} in {retry_cap} attempts"
     )
@@ -585,80 +596,34 @@ def realize_polygon(d, rng, retry_cap=1000, field=None):
 # -- cross-validation ----------------------------------------------------------
 
 
-def _complex_matches(cx, disk, classes):
-    """Label-preserving isomorphism test between a hull complex and a diskoid.
-
-    Boundary diskoid vertices are pinned to the polygon classes by walk
-    position; interior vertices are matched by backtracking.  Edges must
-    agree as sets, arrows as type-1 distances, triangles as sets.
-    """
-    index_of = {v: k for k, v in enumerate(cx.vertices)}
-    if len(cx.vertices) != disk.n_vertices:
-        return False
-
-    assigned = {}
-    for p, v in enumerate(disk.boundary_walk):
-        cls = classes[p]
-        if cls not in index_of:
-            return False
-        if assigned.get(v, cls) != cls:
-            return False
-        assigned[v] = cls
-    used = set(assigned.values())
-    if len(used) != len(set(assigned)):
-        return False
-
-    interior = disk.interior_vertices()
-    free = [c for c in cx.vertices if c not in used]
-    if len(interior) != len(free):
-        return False
-
-    def ok_so_far(partial):
-        for u, v in disk.arrows:
-            if u in partial and v in partial:
-                if distance(partial[u], partial[v]) != OMEGA1:
-                    return False
-        return True
-
-    def extend(k, partial, remaining):
-        if k == len(interior):
-            emap = {
-                tuple(sorted((index_of[partial[u]], index_of[partial[v]])))
-                for u, v in disk.edges
-            }
-            if emap != set(cx.edges):
-                return False
-            tmap = {
-                tuple(sorted((index_of[partial[a]], index_of[partial[b]], index_of[partial[c]])))
-                for a, b, c in disk.triangles
-            }
-            return tmap == set(cx.triangles)
-        v = interior[k]
-        for cls in list(remaining):
-            partial[v] = cls
-            if ok_so_far(partial):
-                remaining.discard(cls)
-                if extend(k + 1, partial, remaining):
-                    return True
-                remaining.add(cls)
-            del partial[v]
-        return False
-
-    return extend(0, dict(assigned), set(free))
-
-
 def cross_validate(d, rng=None, retry_cap=1000, field=None):
-    """True when the geometric hull of a realization matches the diskoid.
+    """True when the geometric hull of a realization has the diskoid's dual web.
 
     Realizes the diagram, computes the hull of the polygon classes along
-    the boundary path, takes its induced complex, and compares against the
-    backward-replay diskoid with boundary vertices pinned by position.
+    the boundary path and takes its induced complex.  The complex becomes a
+    :class:`~sl3webs.webs.Diskoid`: each edge points along its omega_1
+    direction, and the boundary walk runs through the polygon classes.  A
+    hull that is not disk-shaped raises :class:`MalformedDiskoid` there and
+    does not match.  Otherwise its dual web is compared with the dual web
+    of the backward-replay diskoid by canonical encoding.  With the legs
+    pinned, the web determines the diskoid: its faces are the vertices and
+    its boundary regions the walk positions.
     :class:`~sl3webs.errors.RealizationFailed` propagates.
     """
     if rng is None:
         rng = random.Random(0)
     poly = realize_polygon(d, rng, retry_cap, field)
-    disk = diskoid_from_diagram(d)
-    hull = path_hull_fastpath(list(poly.classes))
-    cx = induced_complex(hull)
-    return _complex_matches(cx, disk, poly.classes)
+    cx = induced_complex(path_hull_fastpath(list(poly.classes)))
+    index_of = {v: k for k, v in enumerate(cx.vertices)}
+    if any(c not in index_of for c in poly.classes):
+        return False
+    arrows = [
+        (i, j) if distance(cx.vertices[i], cx.vertices[j]) == OMEGA1 else (j, i)
+        for i, j in cx.edges
+    ]
+    walk = [index_of[c] for c in poly.classes]
+    try:
+        hull_web = dualize(Diskoid(len(cx.vertices), arrows, cx.triangles, walk))
+    except MalformedDiskoid:
+        return False
+    return canonical_encoding(hull_web) == canonical_encoding(dualize(diskoid_from_diagram(d)))

@@ -81,6 +81,16 @@ def basis_web_with_flag(flag):
     return doc
 
 
+def standard_lattice(field, one, e=0):
+    """The standard lattice as JSON, with ``one * t^e`` on the diagonal."""
+    diagonal = [[[{"e": e, "c": one}] if i == j else [] for i in range(3)] for j in range(3)]
+    return {**field, "columns": diagonal}
+
+
+Q_FIELD = {"field": "Q"}
+F7_FIELD = {"field": "Fp", "p": 7}
+
+
 @pytest.mark.parametrize(
     "argv, doc, field",
     [
@@ -102,6 +112,11 @@ def basis_web_with_flag(flag):
          {"edges": [[0, 1]] * 3, "rotations": [[[e, f] for e in range(3)] for f in (0, 1)],
           "boundary": []},
          "not planar"),
+        (("hull", "-", "--conv"), [standard_lattice(Q_FIELD, "1", e=0.5)], "'e'"),
+        (("hull", "-", "--conv"), [standard_lattice(F7_FIELD, 1.5)], "F_p coefficient"),
+        (("hull", "-", "--conv"), [standard_lattice(F7_FIELD, True)], "F_p coefficient"),
+        (("distance", "-", "0", "1"),
+         [standard_lattice(Q_FIELD, "1"), standard_lattice(F7_FIELD, 1)], "share one field"),
     ],
 )
 def test_malformed_json_is_a_domain_error(capsys, argv, doc, field):

@@ -8,12 +8,15 @@ from fixtures import (
     octagon_classes,
     octagon_wheel_diskoid,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sl3webs import synthesis
 from sl3webs.building import OMEGA1, OMEGA2, adjacent, distance, dual_weight, steps
-from sl3webs.errors import PreconditionViolated
+from sl3webs.errors import PreconditionViolated, RealizationFailed
 from sl3webs.growth import complete_from_row, dif, enumerate_diagrams, partition
-from sl3webs.hulls import conv
-from sl3webs.series import QQ
+from sl3webs.hulls import SimplicialComplex2, conv, induced_complex, path_hull_fastpath
+from sl3webs.series import DEFAULT_PRIME, GF, QQ
 from sl3webs.synthesis import (
     ElbowMove,
     MoveLog,
@@ -376,20 +379,22 @@ def test_realize_rejects_bad_cap():
 
 
 def test_conditioned_step_hits_target():
-    rng = random.Random(9)
-    d = octagon_diagram()
-    poly = realize_polygon(d, rng)
-    x1, x2 = poly.classes[0], poly.classes[1]
-    # a fresh neighbor of x2 pinned to a chosen distance from x1
-    for letter, target in ((1, (2, 0, 0)), (1, (1, 1, 0)), (2, (2, 1, 0))):
-        y = conditioned_step(x2, letter, x1, target, rng)
-        assert y is not None
-        want = OMEGA1 if letter == 1 else OMEGA2
-        assert distance(x2, y) == want
-        assert distance(x1, y) == target
-    # target zero forces the step straight back onto the anchor
-    back = conditioned_step(x2, 2, x1, (0, 0, 0), rng)
-    assert back == x1
+    # Realization trusts this theorem: a draw from a residue stratum lands
+    # at the stratum's distance from the anchor, over small fields too.
+    for field in (GF(DEFAULT_PRIME), QQ, GF(2), GF(3), GF(7)):
+        rng = random.Random(9)
+        poly = realize_polygon(octagon_diagram(), rng, field=field)
+        x1, x2 = poly.classes[0], poly.classes[1]
+        # a fresh neighbor of x2 pinned to a chosen distance from x1
+        for letter, target in ((1, (2, 0, 0)), (1, (1, 1, 0)), (2, (2, 1, 0))) * 4:
+            y = conditioned_step(x2, letter, x1, target, rng)
+            assert y is not None
+            want = OMEGA1 if letter == 1 else OMEGA2
+            assert distance(x2, y) == want
+            assert distance(x1, y) == target
+        # target zero forces the step straight back onto the anchor
+        back = conditioned_step(x2, 2, x1, (0, 0, 0), rng)
+        assert back == x1
 
 
 def test_conditioned_step_unreachable_target_returns_none():
@@ -449,3 +454,99 @@ def test_realization_duality_closure():
     closing = distance(poly.classes[-1], poly.classes[0])
     assert closing == dual_weight(distance(poly.classes[0], poly.classes[-1]))
     assert closing == OMEGA2
+
+
+def assert_realizes(classes, g):
+    """Every pairwise distance is the diagram entry less its full columns."""
+    for i, j in itertools.combinations(range(1, g.n + 1), 2):
+        a, b, c = tuple(g.entry(i, j)) + (0,) * (3 - len(g.entry(i, j)))
+        assert distance(classes[i - 1], classes[j - 1]) == (a - c, b - c, 0)
+
+
+def test_realization_over_small_fields():
+    # Over GF(2) and GF(3) many attempts meet every condition of the walk
+    # and still bring two other vertices too close; the retried results
+    # must realize the diagram all the same.
+    for field in (GF(2), GF(3)):
+        for n in (4, 5, 6):
+            for w in itertools.product((1, 2), repeat=n):
+                for k, g in enumerate(enumerate_diagrams(w)):
+                    assert_realizes(realize_polygon(g, random.Random(k), field=field).classes, g)
+
+
+@pytest.mark.parametrize(
+    "field, word, component, seed",
+    [(GF(2), "1212", 0, 3), (GF(3), "111222", 1, 0)],
+    ids=["GF2", "GF3"],
+)
+def test_realization_retries_after_a_rejected_attempt(field, word, component, seed):
+    g = enumerate_diagrams(word)[component]
+    first = synthesis._attempt_realization(g, random.Random(seed), field)
+    assert first is not None
+    with pytest.raises(PreconditionViolated):
+        RealizedPolygon(first, g)
+    with pytest.raises(RealizationFailed):
+        realize_polygon(g, random.Random(seed), retry_cap=1, field=field)
+    assert_realizes(realize_polygon(g, random.Random(seed), field=field).classes, g)
+
+
+def corruptions(cx):
+    """Complexes one defect away from ``cx``: a triangle dropped, an edge
+    dropped with its triangles, a vertex dropped with its star, or a
+    triangle moved onto the next vertices."""
+    n = len(cx.vertices)
+    for t in cx.triangles:
+        yield SimplicialComplex2(cx.vertices, cx.edges, cx.triangles - {t})
+    for e in cx.edges:
+        kept = {t for t in cx.triangles if not set(e) <= set(t)}
+        yield SimplicialComplex2(cx.vertices, cx.edges - {e}, kept)
+    for v in range(n):
+        new = {u: u - (u > v) for u in range(n) if u != v}
+        yield SimplicialComplex2(
+            [x for u, x in enumerate(cx.vertices) if u != v],
+            {(new[a], new[b]) for a, b in cx.edges if v not in (a, b)},
+            {tuple(new[u] for u in t) for t in cx.triangles if v not in t},
+        )
+    for t in cx.triangles:
+        a, b, c = moved = tuple(sorted((u + 1) % n for u in t))
+        if moved not in cx.triangles:
+            edges = cx.edges | {(a, b), (a, c), (b, c)}
+            yield SimplicialComplex2(cx.vertices, edges, cx.triangles - {t} | {moved})
+
+
+def test_cross_validate_rejects_corrupted_hulls(monkeypatch):
+    cases = [(octagon_diagram(), 7), (diagram((), (1,), (1, 1, 1)), 0)]
+    for w in ("1212", "121212", "111222"):
+        cases += [(g, k) for k, g in enumerate(enumerate_diagrams(w))]
+    rejected = 0
+    for g, seed in cases:
+        assert cross_validate(g, random.Random(seed))
+        poly = realize_polygon(g, random.Random(seed))
+        cx = induced_complex(path_hull_fastpath(list(poly.classes)))
+        for bad in corruptions(cx):
+            monkeypatch.setattr(synthesis, "induced_complex", lambda _hull, bad=bad: bad)
+            assert not cross_validate(g, random.Random(seed))
+            rejected += 1
+        monkeypatch.undo()
+    assert rejected == 218
+    # a disk-shaped hull has the dual web of its own component only
+    for w in ("1212", "121212"):
+        comps = enumerate_diagrams(w)
+        for k, g in enumerate(comps):
+            other = diskoid_from_diagram(comps[k - 1])
+            monkeypatch.setattr(synthesis, "diskoid_from_diagram", lambda _d, other=other: other)
+            assert not cross_validate(g, random.Random(k))
+
+
+# type words of length 9-10 with a nonzero invariant space
+LONG_WORDS = st.lists(st.sampled_from((1, 2)), min_size=9, max_size=10).filter(
+    lambda w: (w.count(1) - w.count(2)) % 3 == 0
+)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(word=LONG_WORDS, data=st.data())
+def test_cross_validate_long_words(word, data):
+    comps = enumerate_diagrams(tuple(word))
+    k = data.draw(st.integers(0, len(comps) - 1))
+    assert cross_validate(comps[k], random.Random(k))
