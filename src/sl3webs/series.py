@@ -15,6 +15,11 @@ The two normal forms computed here are a column Hermite form over the
 valuation ring ``O = k[[t]]`` (canonical bases for lattices) and the
 elementary-divisor exponents of a nonsingular square matrix together with
 the basis that diagonalizes it (relative position of two lattices).
+
+Invariant: every stored coefficient is normalized (a ``Fraction`` over Q,
+an int in ``range(p)`` over F_p) and nonzero.  The public constructors
+normalize what they are given; results computed inside the library are
+trusted and wrapped by ``LaurentScalar._trusted`` without a second pass.
 """
 
 from __future__ import annotations
@@ -62,14 +67,9 @@ class CoefficientField:
     __slots__ = ("p",)
 
     def __init__(self, p=None):
-        if p is not None:
-            if not _is_prime(p):
-                raise ValueError(f"modulus {p} is not prime")
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         self.p = p
-
-    @property
-    def is_rational(self):
-        return self.p is None
 
     def normalize(self, c):
         if self.p is None:
@@ -97,16 +97,13 @@ class CoefficientField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def coeff_to_str(self, c):
-        return str(c)
-
     def coeff_to_json(self, c):
-        if self.p is None:
-            return str(c)
-        return int(c)
+        return str(c) if self.p is None else int(c)
 
     def coeff_from_json(self, obj):
         if self.p is None:
+            if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+                raise MalformedJSON(f"Q coefficient must be a string or an int, got {obj!r}")
             return Fraction(obj)
         if not isinstance(obj, int) or isinstance(obj, bool):
             raise MalformedJSON(f"F_p coefficient must be an int, got {obj!r}")
@@ -157,6 +154,15 @@ class LaurentScalar:
         self._hash = None
 
     @classmethod
+    def _trusted(cls, field, terms):
+        """Wrap ``terms`` whose coefficients are already normalized and nonzero."""
+        scalar = object.__new__(cls)
+        scalar.field = field
+        scalar.terms = terms
+        scalar._hash = None
+        return scalar
+
+    @classmethod
     def zero(cls, field):
         return cls(field, {})
 
@@ -180,41 +186,37 @@ class LaurentScalar:
         return min(self.terms) if self.terms else inf
 
     def coeff(self, e):
-        zero = Fraction(0) if self.field.p is None else 0
-        return self.terms.get(e, zero)
+        return self.terms.get(e, Fraction(0) if self.field.p is None else 0)
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = f.add(out.get(e, 0), c)
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentScalar(f, out)
+            out[e] = get(e, 0) + c
+        return _reduced(self.field, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        get = out.get
+        for e, c in other.terms.items():
+            out[e] = get(e, 0) - c
+        return _reduced(self.field, out)
 
     def __neg__(self):
-        f = self.field
-        return LaurentScalar(f, {e: f.neg(c) for e, c in self.terms.items()})
+        return _reduced(self.field, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
-        f = self.field
         out = {}
+        get = out.get
+        items = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in items:
                 e = e1 + e2
-                s = f.add(out.get(e, 0), f.mul(c1, c2))
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentScalar(f, out)
+                out[e] = get(e, 0) + c1 * c2
+        return _reduced(self.field, out)
 
     def scale(self, c):
         f = self.field
@@ -223,33 +225,33 @@ class LaurentScalar:
 
     def shift(self, k):
         """Multiply by ``t^k``."""
-        return LaurentScalar(self.field, {e + k: c for e, c in self.terms.items()})
+        if not k:
+            return self
+        return LaurentScalar._trusted(self.field, {e + k: c for e, c in self.terms.items()})
 
     def truncate(self, order):
         """Drop all terms of exponent >= ``order``."""
-        return LaurentScalar(
-            self.field, {e: c for e, c in self.terms.items() if e < order}
-        )
+        if not self.terms or max(self.terms) < order:
+            return self
+        kept = {e: c for e, c in self.terms.items() if e < order}
+        return LaurentScalar._trusted(self.field, kept)
 
     def split_at(self, a):
         """Return ``(q, r)`` with ``self = q * t^a + r`` and ``r`` supported below ``a``."""
-        hi = {}
-        lo = {}
-        for e, c in self.terms.items():
-            if e >= a:
-                hi[e - a] = c
-            else:
-                lo[e] = c
-        return LaurentScalar(self.field, hi), LaurentScalar(self.field, lo)
+        hi = {e - a: c for e, c in self.terms.items() if e >= a}
+        lo = {e: c for e, c in self.terms.items() if e < a}
+        return LaurentScalar._trusted(self.field, hi), LaurentScalar._trusted(self.field, lo)
 
     def _check(self, other):
-        if not isinstance(other, LaurentScalar) or other.field != self.field:
+        if not isinstance(other, LaurentScalar) or (
+            other.field is not self.field and other.field != self.field
+        ):
             raise TypeError("mixed scalar domains")
 
     def __eq__(self, other):
         return (
             isinstance(other, LaurentScalar)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.terms == other.terms
         )
 
@@ -265,10 +267,7 @@ class LaurentScalar:
     def to_text(self):
         if not self.terms:
             return "0"
-        parts = []
-        for e in sorted(self.terms):
-            parts.append(f"{self.field.coeff_to_str(self.terms[e])}*t^{e}")
-        return " + ".join(parts)
+        return " + ".join(f"{self.terms[e]}*t^{e}" for e in sorted(self.terms))
 
     def to_json(self):
         return [
@@ -327,14 +326,9 @@ class LaurentMatrix:
     def scalar_diag(cls, field, exponents):
         """Diagonal matrix with entries ``t^e`` for ``e`` in ``exponents``."""
         zero = LaurentScalar.zero(field)
-        n = len(exponents)
-        return cls(
-            field,
-            [
-                [LaurentScalar.monomial(field, exponents[i]) if i == j else zero for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        diag = [LaurentScalar.monomial(field, e) for e in exponents]
+        n = len(diag)
+        return cls(field, [[d if i == j else zero for j in range(n)] for i, d in enumerate(diag)])
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -351,9 +345,7 @@ class LaurentMatrix:
     def hstack(self, other):
         if other.nrows != self.nrows or other.field != self.field:
             raise ValueError("shape or domain mismatch")
-        return LaurentMatrix(
-            self.field, [self.rows[i] + other.rows[i] for i in range(self.nrows)]
-        )
+        return LaurentMatrix(self.field, [a + b for a, b in zip(self.rows, other.rows)])
 
     def shift(self, k):
         """Multiply every entry by ``t^k``."""
@@ -365,46 +357,26 @@ class LaurentMatrix:
         if self.ncols != other.nrows or self.field != other.field:
             raise ValueError("shape or domain mismatch")
         zero = LaurentScalar.zero(self.field)
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for l in range(self.ncols):
-                    a = self.rows[i][l]
-                    b = other.rows[l][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(self.field, out)
+        cols = other.columns()
+        rows = [
+            [sum((a * b for a, b in zip(r, c) if a.terms and b.terms), zero) for c in cols]
+            for r in self.rows
+        ]
+        return LaurentMatrix(self.field, rows)
 
     def minval(self):
         """Minimum valuation over all entries (``inf`` for a zero matrix)."""
-        m = inf
-        for r in self.rows:
-            for f in r:
-                v = f.val()
-                if v < m:
-                    m = v
-        return m
+        return min((f.val() for r in self.rows for f in r), default=inf)
 
     def det(self):
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("determinant of non-square matrix")
+        if self.nrows != 3 or self.ncols != 3:
+            raise ValueError("only 3 x 3 determinants are supported")
         r = self.rows
-        if n == 1:
-            return r[0][0]
-        if n == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        if n == 3:
-            return (
-                r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-            )
-        raise ValueError("only sizes 1..3 supported")
+        return (
+            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+        )
 
     def __eq__(self, other):
         return (
@@ -420,17 +392,55 @@ class LaurentMatrix:
         return tuple(f.key() for r in self.rows for f in r)
 
     def __repr__(self):
-        body = "; ".join(
-            ", ".join(f.to_text() for f in row) for row in self.rows
-        )
+        body = "; ".join(", ".join(f.to_text() for f in row) for row in self.rows)
         return f"LaurentMatrix[{body}]"
+
+
+def _reduced(field, raw):
+    """A trusted scalar from raw sums of coefficients: one reduction mod p each, zeros dropped."""
+    p = field.p
+    if p is None:
+        return LaurentScalar._trusted(field, {e: c for e, c in raw.items() if c})
+    return LaurentScalar._trusted(field, {e: r for e, c in raw.items() if (r := c % p)})
+
+
+def _sub_mul_trunc(a, q, b, order):
+    """``(a - q * b) mod t^order``, forming no product at or above ``order``."""
+    a._check(q)
+    a._check(b)
+    out = {e: c for e, c in a.terms.items() if e < order}
+    get = out.get
+    items = b.terms.items()
+    for e1, c1 in q.terms.items():
+        lim = order - e1
+        for e2, c2 in items:
+            if e2 < lim:
+                e = e1 + e2
+                out[e] = get(e, 0) - c1 * c2
+    return _reduced(a.field, out)
+
+
+def _mul_trunc(a, u, order):
+    """``(a * u) mod t^order``, forming no product at or above ``order``."""
+    a._check(u)
+    out = {}
+    get = out.get
+    items = u.terms.items()
+    for e1, c1 in a.terms.items():
+        lim = order - e1
+        for e2, c2 in items:
+            if e2 < lim:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    return _reduced(a.field, out)
 
 
 def unit_inverse_trunc(f, order):
     """Inverse of a valuation-zero scalar, correct modulo ``t^order``.
 
     Newton iteration ``g <- g * (2 - f * g)`` doubles the precision each
-    round, starting from the inverse of the constant term.
+    round, starting from the inverse of the constant term; both products
+    are truncated at the round's precision as they are formed.
     """
     if f.val() != 0:
         raise ValueError("inverse requires a unit of valuation 0")
@@ -440,17 +450,17 @@ def unit_inverse_trunc(f, order):
     prec = 1
     while prec < order:
         prec = min(2 * prec, order)
-        g = (g * (two - f.truncate(prec) * g)).truncate(prec)
+        g = _mul_trunc(g, _sub_mul_trunc(two, f, g, prec), prec)
     return g
 
 
 def _column_sub(col, q, other, order):
     """col - q * other, entrywise, truncated below ``t^order``."""
-    return [(a - q * b).truncate(order) for a, b in zip(col, other)]
+    return [_sub_mul_trunc(a, q, b, order) for a, b in zip(col, other)]
 
 
 def _column_scale(col, u, order):
-    return [(a * u).truncate(order) for a in col]
+    return [_mul_trunc(a, u, order) for a in col]
 
 
 def truncation_order(mat):
@@ -570,28 +580,21 @@ def smith_form(mat):
         exps.append(a)
         pivot_rows.append(pi)
         inv = unit_inverse_trunc(grid[pi][pj].shift(-a), prec)
-        for i in rows:
-            grid[i][pj] = (grid[i][pj] * inv).truncate(order)
-        grid[pi][pj] = LaurentScalar.monomial(field, a)
-        for i in rows:
-            if i == pi or grid[i][pj].is_zero():
-                continue
-            q = grid[i][pj].shift(-a)
-            for j in cols:
-                grid[i][j] = (grid[i][j] - q * grid[pi][j]).truncate(order)
-            grid[i][pj] = LaurentScalar.zero(field)
-            basis[pi] = [
-                (u + q * w).truncate(prec) if w.terms else u for u, w in zip(basis[pi], basis[i])
-            ]
-        for j in cols:
-            if j == pj or grid[pi][j].is_zero():
-                continue
-            q = grid[pi][j].shift(-a)
-            for i in rows:
-                grid[i][j] = (grid[i][j] - q * grid[i][pj]).truncate(order)
-            grid[pi][j] = LaurentScalar.zero(field)
         rows.remove(pi)
         cols.remove(pj)
+        # Clear column pj by row operations.  Clearing row pi by column operations
+        # would change nothing outside row pi and column pj, which are not read again.
+        for i in rows:
+            if grid[i][pj].is_zero():
+                continue
+            q = _mul_trunc(grid[i][pj], inv, order).shift(-a)
+            for j in cols:
+                grid[i][j] = _sub_mul_trunc(grid[i][j], q, grid[pi][j], order)
+            minus_q = -q
+            basis[pi] = [
+                _sub_mul_trunc(u, minus_q, w, prec) if w.terms else u
+                for u, w in zip(basis[pi], basis[i])
+            ]
     if exps != sorted(exps):
         raise InvariantViolated("pivot valuations not nondecreasing")
     if sum(exps) != d.val():
@@ -630,10 +633,6 @@ def solve_upper_triangular(tri, vec):
 def invert_upper_triangular(tri):
     """Exact inverse of a canonical-form matrix."""
     field = tri.field
-    zero = LaurentScalar.zero(field)
-    one = LaurentScalar.one(field)
-    cols = []
-    for j in range(3):
-        e = [one if i == j else zero for i in range(3)]
-        cols.append(solve_upper_triangular(tri, e))
-    return LaurentMatrix.from_columns(field, cols)
+    return LaurentMatrix.from_columns(
+        field, [solve_upper_triangular(tri, e) for e in LaurentMatrix.identity(field).columns()]
+    )

@@ -117,6 +117,9 @@ F7_FIELD = {"field": "Fp", "p": 7}
         (("hull", "-", "--conv"), [standard_lattice(F7_FIELD, True)], "F_p coefficient"),
         (("distance", "-", "0", "1"),
          [standard_lattice(Q_FIELD, "1"), standard_lattice(F7_FIELD, 1)], "share one field"),
+        (("hull", "-", "--conv"), [standard_lattice(Q_FIELD, True)], "Q coefficient"),
+        (("hull", "-", "--conv"), [standard_lattice(Q_FIELD, 0.5)], "Q coefficient"),
+        (("hull", "-", "--conv"), [standard_lattice(Q_FIELD, 0.001)], "Q coefficient"),
     ],
 )
 def test_malformed_json_is_a_domain_error(capsys, argv, doc, field):

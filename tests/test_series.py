@@ -10,6 +10,8 @@ from sl3webs.series import (
     QQ,
     LaurentMatrix,
     LaurentScalar,
+    _mul_trunc,
+    _sub_mul_trunc,
     hermite_over_O,
     invert_upper_triangular,
     smith_exponents,
@@ -18,6 +20,7 @@ from sl3webs.series import (
 )
 
 F7 = GF(7)
+KERNEL_FIELDS = [QQ, GF(2), GF(3), F7, GF(10007)]
 
 
 def S(field, terms):
@@ -141,12 +144,14 @@ def test_json_roundtrip():
 def test_unit_inverse_trunc():
     rng = random.Random(5)
     one = LaurentScalar.one(QQ)
-    for field in (QQ, F7):
+    for field in KERNEL_FIELDS:
         for _ in range(20):
             u = random_unit(rng, field)
-            g = unit_inverse_trunc(u, 12)
-            prod = (u * g).truncate(12)
-            assert prod == LaurentScalar.one(field), (u, g)
+            for order in (1, 2, 5, 12):
+                g = unit_inverse_trunc(u, order)
+                prod = (u * g).truncate(order)
+                assert prod == LaurentScalar.one(field), (u, g)
+                assert g.truncate(order) is g
     with pytest.raises(ValueError):
         unit_inverse_trunc(mono(QQ, 1), 5)
     assert (one * unit_inverse_trunc(one, 1)) == one
@@ -317,3 +322,93 @@ def test_invert_upper_triangular():
         inv = invert_upper_triangular(h)
         assert h * inv == LaurentMatrix.identity(QQ)
         assert inv * h == LaurentMatrix.identity(QQ)
+
+
+def raw_scalar(field, raw, order=inf):
+    """The scalar of a raw ``{exponent: coefficient}`` dict, through the
+    normalizing public constructor, with terms at or above ``order`` dropped."""
+    return LaurentScalar(field, {e: c for e, c in raw.items() if e < order})
+
+
+def raw_add(raw, terms, sign=1):
+    out = dict(raw)
+    for e, c in terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+def raw_product(f, g):
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def assert_stored_form(f):
+    """Every stored coefficient is normalized and nonzero."""
+    for c in f.terms.values():
+        if f.field.p is None:
+            assert type(c) is Fraction and c != 0
+        else:
+            assert type(c) is int and 0 < c < f.field.p
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_arithmetic_matches_raw_terms(field):
+    rng = random.Random(field.p or 0)
+    for _ in range(60):
+        f, g = random_scalar(rng, field), random_scalar(rng, field)
+        for got, raw in (
+            (f + g, raw_add(f.terms, g.terms)),
+            (f - g, raw_add(f.terms, g.terms, -1)),
+            (-f, raw_add({}, f.terms, -1)),
+            (f * g, raw_product(f, g)),
+        ):
+            assert got == raw_scalar(field, raw)
+            assert_stored_form(got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_fused_kernels_match_raw_terms(field):
+    # orders run from below the support of every operand and product
+    # (exponents -6 and up) through it to above it (exponents up to 6)
+    rng = random.Random(1 + (field.p or 0))
+    for _ in range(25):
+        a, q, b = (random_scalar(rng, field) for _ in range(3))
+        for order in range(-8, 9):
+            got = _sub_mul_trunc(a, q, b, order)
+            assert got == raw_scalar(field, raw_add(a.terms, raw_product(q, b), -1), order)
+            assert_stored_form(got)
+            got = _mul_trunc(a, b, order)
+            assert got == raw_scalar(field, raw_product(a, b), order)
+            assert_stored_form(got)
+
+
+def test_public_constructors_normalize():
+    assert LaurentScalar(F7, {0: 9, 1: 7}).terms == {0: 2}
+    assert LaurentScalar(QQ, {0: 3, 2: 0}).terms == {0: Fraction(3)}
+    assert type(LaurentScalar(QQ, {0: 3}).terms[0]) is Fraction
+    assert LaurentScalar.monomial(F7, 2, 15).terms == {2: 1}
+    assert LaurentScalar.constant(F7, 14).is_zero()
+    assert S(F7, {1: 3}).scale(5).terms == {1: 1}
+    assert S(F7, {1: 3}).scale(7).is_zero()
+    f = S(QQ, {-1: 2, 3: 1})
+    assert f.shift(0) is f and f.truncate(4) is f and f.truncate(3).terms == {-1: 2}
+
+
+def test_mixed_fields_raise():
+    f, g = S(F7, {0: 1, 1: 2}), S(GF(3), {0: 1})
+    for a, b in ((f, g), (f, S(QQ, {0: 1}))):
+        with pytest.raises(TypeError, match="mixed scalar domains"):
+            a + b
+        with pytest.raises(TypeError, match="mixed scalar domains"):
+            a - b
+        with pytest.raises(TypeError, match="mixed scalar domains"):
+            a * b
+        with pytest.raises(TypeError, match="mixed scalar domains"):
+            _sub_mul_trunc(a, a, b, 3)
+        with pytest.raises(TypeError, match="mixed scalar domains"):
+            _mul_trunc(a, b, 3)
+    # equal fields that are different objects still mix freely
+    assert (f + S(GF(7), {0: 6})).terms == {1: 2}

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -12,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl3webs import synthesis
-from sl3webs.building import OMEGA1, OMEGA2, adjacent, distance, dual_weight, steps
+from sl3webs.building import (
+    OMEGA1,
+    OMEGA2,
+    adjacent,
+    distance,
+    dual_weight,
+    lattice_to_json,
+    steps,
+)
+from sl3webs.cli import derived_rng
 from sl3webs.errors import PreconditionViolated, RealizationFailed
 from sl3webs.growth import complete_from_row, dif, enumerate_diagrams, partition
 from sl3webs.hulls import SimplicialComplex2, conv, induced_complex, path_hull_fastpath
@@ -536,6 +547,44 @@ def test_cross_validate_rejects_corrupted_hulls(monkeypatch):
             other = diskoid_from_diagram(comps[k - 1])
             monkeypatch.setattr(synthesis, "diskoid_from_diagram", lambda _d, other=other: other)
             assert not cross_validate(g, random.Random(k))
+
+
+def verify_stream_components(max_len):
+    """Every component of every type word up to ``max_len``, by length and
+    then word, with the stream ``sl3webs verify --geometric --seed 0`` uses."""
+    for n in range(1, max_len + 1):
+        for w in itertools.product((1, 2), repeat=n):
+            text = "".join(map(str, w))
+            for k, g in enumerate(enumerate_diagrams(w)):
+                yield g, derived_rng(0, "verify", text, k)
+
+
+#: SHA-1 of the realized polygons of every component up to length 6 over
+#: GF(10007), one ``json.dumps(..., sort_keys=True)`` of the lattice JSON
+#: per polygon.  Any change to the lattice arithmetic that moves a class
+#: representative, or to how realization draws from its stream, changes it.
+REALIZED_POLYGONS_SHA1 = "7c82fc6f38640255c151f7bfffda1615d32864d7"
+
+
+def test_realized_polygons_are_unchanged():
+    h = hashlib.sha1()
+    count = 0
+    for g, rng in verify_stream_components(6):
+        poly = realize_polygon(g, rng)
+        h.update(json.dumps([lattice_to_json(c.basis) for c in poly.classes], sort_keys=True).encode())
+        count += 1
+    assert count == 176
+    assert h.hexdigest() == REALIZED_POLYGONS_SHA1
+
+
+def test_cross_validate_over_rationals():
+    # the geometric guards run mostly over primes; this runs the Fraction
+    # branch of every series kernel
+    count = 0
+    for g, rng in verify_stream_components(5):
+        assert cross_validate(g, rng, field=QQ)
+        count += 1
+    assert count == 46
 
 
 # type words of length 9-10 with a nonzero invariant space
