@@ -438,29 +438,29 @@ def _mul_trunc(a, u, order):
 def unit_inverse_trunc(f, order):
     """Inverse of a valuation-zero scalar, correct modulo ``t^order``.
 
-    Newton iteration ``g <- g * (2 - f * g)`` doubles the precision each
-    round, starting from the inverse of the constant term; both products
-    are truncated at the round's precision as they are formed.
+    Newton iteration ``g <- g - g * (f * g - 1)`` doubles the precision each
+    round from the inverse of the constant term; ``f * g - 1`` vanishes below
+    the previous precision, so only its terms from there on are formed.
     """
     if f.val() != 0:
         raise ValueError("inverse requires a unit of valuation 0")
     field = f.field
     g = LaurentScalar.constant(field, field.inv(f.coeff(0)))
-    two = LaurentScalar.constant(field, 2)
     prec = 1
     while prec < order:
-        prec = min(2 * prec, order)
-        g = _mul_trunc(g, _sub_mul_trunc(two, f, g, prec), prec)
+        low, prec = prec, min(2 * prec, order)
+        err = {}
+        for e1, c1 in f.terms.items():
+            for e2, c2 in g.terms.items():
+                if low <= e1 + e2 < prec:
+                    err[e1 + e2] = err.get(e1 + e2, 0) + c1 * c2
+        g = _sub_mul_trunc(g, g, _reduced(field, err), prec)
     return g
 
 
 def _column_sub(col, q, other, order):
     """col - q * other, entrywise, truncated below ``t^order``."""
     return [_sub_mul_trunc(a, q, b, order) for a, b in zip(col, other)]
-
-
-def _column_scale(col, u, order):
-    return [_mul_trunc(a, u, order) for a in col]
 
 
 def truncation_order(mat):
@@ -517,7 +517,7 @@ def hermite_over_O(mat):
         unit = cols[best][row].shift(-a)
         col_min = min(f.val() for f in cols[best] if f.terms)
         inv = unit_inverse_trunc(unit, order - min(col_min, 0))
-        cols[best] = _column_scale(cols[best], inv, order)
+        cols[best] = [_mul_trunc(x, inv, order) for x in cols[best]]
         cols[best][row] = LaurentScalar.monomial(field, a)
         remaining.remove(best)
         for j in remaining:

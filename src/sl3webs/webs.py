@@ -9,9 +9,11 @@ circles with no vertices on them are tracked by a counter.
 
 A diskoid is a triangulated polygon (possibly with pendant edges and cut
 vertices) with directed edges; ``dualize`` turns it into the web whose
-vertices are the triangles.  ``reduce`` evaluates arbitrary webs into
+vertices are the triangles.  ``reduce_web`` evaluates arbitrary webs into
 integer combinations of non-elliptic ones using the circle, bigon, and
-square relations with coefficients 3, -2, and 1 + 1.
+square relations with coefficients 3, -2, and 1 + 1.  It rewrites in place,
+on edge and vertex ids that never move, and keeps only the faces with fewer
+than 6 sides up to date; only the webs it ends at are ``Web`` objects.
 """
 
 from .errors import InvariantViolated, MalformedDiskoid, MalformedJSON, json_fields
@@ -57,8 +59,8 @@ class Web:
     interior vertices are trivalent with a consistent direction sense, and
     every connected component is a planar map (V - E + F = 2).
     ``web_from_edges`` and ``web_from_json`` build through it.
-    ``Web._trusted`` checks nothing; ``reduce_web`` builds its
-    intermediate webs with it from webs that passed the checks.
+    ``Web._trusted`` checks nothing; ``reduce_web`` builds the webs it ends
+    at with it (the webs in between are not ``Web`` objects).
     """
 
     __slots__ = ("rot", "src", "boundary", "free_loops", "_vert", "_enc")
@@ -239,16 +241,22 @@ def rotate(w):
 # -- faces ---------------------------------------------------------------
 
 
+def _predecessors(w):
+    """Rotation predecessor of every dart."""
+    prev = [0] * (2 * len(w.src))
+    for r in w.rot:
+        for i, d in enumerate(r):
+            prev[d] = r[i - 1]
+    return prev
+
+
 def faces(w):
     """All face traces, each a tuple of darts in walking order."""
     # walk each dart to its far end, then take the rotation predecessor of
     # the reversed dart: with counterclockwise rotations this traces the
     # face lying on the left of the dart
     n_darts = 2 * len(w.src)
-    prev = [0] * n_darts
-    for r in w.rot:
-        for i, d in enumerate(r):
-            prev[d] = r[i - 1]
+    prev = _predecessors(w)
     seen = [False] * n_darts
     out = []
     for d0 in range(n_darts):
@@ -358,11 +366,7 @@ class WebCombination:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data = {}
-        for web, coeff in dict(terms).items():
-            if coeff:
-                data[web] = data.get(web, 0) + coeff
-        self.terms = {w: c for w, c in data.items() if c}
+        self.terms = {w: c for w, c in dict(terms).items() if c}
         words = {boundary_word(w) for w in self.terms}
         if len(words) > 1:
             raise ValueError("terms mix boundary types")
@@ -397,152 +401,158 @@ class WebCombination:
         ]
 
 
-def _stub(w, v, dead_edges):
-    hits = [d for d in w.rot[v] if d // 2 not in dead_edges]
-    if len(hits) != 1:
-        raise InvariantViolated(f"vertex {v} has {len(hits)} surviving edges")
-    return hits[0]
+class _Reduction:
+    """A web inside ``reduce_web``, on edge and vertex ids that never move.
 
-
-def _excise(w, dead_vertices, dead_edges, pairs):
-    """Remove the given vertices and edges, splicing strands through them.
-
-    ``pairs`` lists two-element junction tuples of dead vertices: the
-    strands entering those vertices through their surviving third edges
-    get connected.  Returns a new Web.
+    ``rot`` and ``src`` are a Web's, with ``None`` for dead vertices and
+    edges; ``vert`` and ``prev`` send each dart to its vertex and to its
+    rotation predecessor, and ``face_of`` each dart of an internal face
+    with fewer than 6 sides to ``(length, trace)``, the trace rotated to
+    its smallest dart.  A new strand takes the next unused edge id, so live
+    ids keep the order that renumbering after every step would give them.
     """
-    partner = {}
-    for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
-    if set(partner) != set(dead_vertices):
-        raise InvariantViolated("junction pairs do not cover the excised vertices")
 
-    dead_vset = set(dead_vertices)
-    chain_edges = set()
-    chains = []
-    for v in dead_vertices:
-        s = _stub(w, v, dead_edges)
-        far = w.head(s)
-        if far in dead_vset:
-            continue
-        # trace inward from the live far end
-        if s // 2 in chain_edges:
-            continue
-        segs = [s ^ 1]  # dart at the live end
-        chain_edges.add(s // 2)
-        cur = v
-        while True:
-            nxt = partner[cur]
-            s2 = _stub(w, nxt, dead_edges)
-            chain_edges.add(s2 // 2)
-            segs.append(s2 ^ 1)  # dart at the end away from nxt
-            end = w.head(s2)
-            if end not in dead_vset:
-                break
-            cur = end
-        chains.append(segs)
-    # untraced stubs form closed circles through the junctions
-    extra_loops = 0
-    loop_edges = set()
-    leftover = set()
-    for v in dead_vertices:
-        e = _stub(w, v, dead_edges) // 2
-        if e not in chain_edges:
-            leftover.add(e)
-    while leftover:
-        e = leftover.pop()
-        extra_loops += 1
-        loop_edges.add(e)
-        u, x = w.edge_ends(e)
-        cur = partner[x]
-        while True:
-            e2 = _stub(w, cur, dead_edges) // 2
-            if e2 == e:
-                break
-            leftover.discard(e2)
-            loop_edges.add(e2)
-            a, b = w.edge_ends(e2)
-            cur = partner[b if a == cur else a]
+    __slots__ = ("rot", "src", "vert", "prev", "face_of", "boundary")
 
-    # rebuild: surviving edges keep their relative order, then chain edges
-    gone = [False] * w.n_edges
-    for e in (*dead_edges, *chain_edges, *loop_edges):
-        gone[e] = True
-    new_src = []
-    dart_map = [None] * (2 * w.n_edges)
-    for e, s in enumerate(w.src):
-        if gone[e]:
-            continue
-        ne = len(new_src)
-        dart_map[2 * e] = 2 * ne
-        dart_map[2 * e + 1] = 2 * ne + 1
-        new_src.append(2 * ne + (s & 1))
-    for segs in chains:
-        ne = len(new_src)
-        d_a, d_b = segs[0], segs[-1]
-        # direction carried by the first segment, checked on the last
-        a_is_source = w.is_out(d_a)
-        if a_is_source == w.is_out(d_b):
-            raise InvariantViolated("chain direction is inconsistent")
-        dart_map[d_a] = 2 * ne
-        dart_map[d_b] = 2 * ne + 1
-        new_src.append(2 * ne if a_is_source else 2 * ne + 1)
+    def __init__(self, w):
+        self.rot, self.src, self.vert = list(w.rot), list(w.src), list(w._vert)
+        self.prev, self.face_of, self.boundary = _predecessors(w), {}, w.boundary
+        for f in internal_faces(w):
+            if len(f) < 6:
+                self._note(f)
 
-    vert_map = [None] * w.n_vertices
-    new_rot = []
-    new_vert = [None] * (2 * len(new_src))
-    for v, r in enumerate(w.rot):
-        if v in dead_vset:
-            continue
-        nv = vert_map[v] = len(new_rot)
-        r = tuple([dart_map[d] for d in r])
-        for d in r:
-            new_vert[d] = nv
-        new_rot.append(r)
-    return Web._trusted(
-        tuple(new_rot),
-        tuple(new_src),
-        tuple([vert_map[v] for v in w.boundary]),
-        w.free_loops + extra_loops,
-        tuple(new_vert),
-    )
+    def copy(self):
+        c = object.__new__(_Reduction)
+        c.rot, c.src, c.vert, c.prev = self.rot[:], self.src[:], self.vert[:], self.prev[:]
+        c.face_of, c.boundary = self.face_of.copy(), self.boundary
+        return c
 
-
-def _reducible_faces(w, internal):
-    out = []
-    for f in internal:
-        if len(f) < 6:
-            if len(f) not in (2, 4):
-                raise InvariantViolated(f"odd internal face {f}")
-            if len({w.vert(d) for d in f}) < len(f):
-                # degenerate square revisiting a corner; a smaller face
-                # nearby shrinks first
-                continue
-            out.append(f)
-    # deterministic id: smallest dart first
-    keyed = []
-    for f in out:
+    def _note(self, f):
+        # in a loop-free trivalent web a small internal face is a bigon or a
+        # square with distinct corners: a corner met twice in a row ends a
+        # loop edge, and one met twice apart holds four darts or is a leg
+        if len(f) not in (2, 4) or len({self.vert[d] for d in f}) < len(f):
+            raise InvariantViolated(f"small internal face {f} is not a bigon or a square")
         i = f.index(min(f))
-        keyed.append(f[i:] + f[:i])
-    keyed.sort(key=lambda f: (len(f), f))
-    return keyed
+        key = (len(f), f[i:] + f[:i])
+        for d in f:
+            self.face_of[d] = key
+
+    def web(self):
+        """The Web with live edges and vertices renumbered in id order."""
+        dmap, src = {}, []
+        for e, s in enumerate(self.src):
+            if s is not None:
+                dmap[2 * e], dmap[2 * e + 1] = 2 * len(src), 2 * len(src) + 1
+                src.append(dmap[s])
+        live = [v for v, r in enumerate(self.rot) if r is not None]
+        rot = tuple([tuple([dmap[d] for d in self.rot[v]]) for v in live])
+        vert = [None] * (2 * len(src))
+        for v, r in enumerate(rot):
+            for d in r:
+                vert[d] = v
+        vmap = {v: i for i, v in enumerate(live)}
+        boundary = tuple([vmap[v] for v in self.boundary])
+        return Web._trusted(rot, tuple(src), boundary, 0, tuple(vert))
 
 
-def _apply_bigon(w, face):
-    d1, d2 = face
-    u, v = w.vert(d1), w.vert(d2)
-    return _excise(w, (u, v), {d1 // 2, d2 // 2}, [(u, v)])
+def _splice(st, face, which):
+    """Rewrite a small face of ``st`` in place; return the closed loops made.
+
+    The corners die in junction pairs: a bigon's two, or a square's (0, 1),
+    (2, 3) for ``which`` 0 and (1, 2), (3, 0) for ``which`` 1.  A strand
+    through the junctions becomes one new edge, or a loop if it has no end.
+    """
+    rot, src, vert, prev = st.rot, st.src, st.vert, st.prev
+    corners = [vert[d] for d in face]
+    n = len(face)
+    partner = {}
+    for i in range(which, n, 2):
+        a, b = corners[i], corners[(i + 1) % n]
+        partner[a], partner[b] = b, a
+    if len(partner) != n:
+        raise InvariantViolated("junction pairs do not cover the excised vertices")
+    for d in face:
+        src[d >> 1] = None
+    stub = {}
+    for v in corners:
+        hits = [d for d in rot[v] if src[d >> 1] is not None]
+        if len(hits) != 1:
+            raise InvariantViolated(f"vertex {v} has {len(hits)} surviving edges")
+        stub[v] = hits[0]
+
+    # strands from live far ends through the junctions, in corner order
+    ends = []
+    used = set()
+    for v in corners:
+        s = stub[v]
+        if vert[s ^ 1] in partner or s >> 1 in used:
+            continue
+        s2 = stub[partner[v]]
+        while vert[s2 ^ 1] in partner:
+            used.add(s2 >> 1)
+            s2 = stub[partner[vert[s2 ^ 1]]]
+        used.update((s >> 1, s2 >> 1))
+        a, b = s ^ 1, s2 ^ 1
+        a_is_source = src[a >> 1] == a
+        if a_is_source == (src[b >> 1] == b):
+            raise InvariantViolated("chain direction is inconsistent")
+        ends.append((a, b, a_is_source))
+    # the other third edges close into loops through the junctions
+    loops = 0
+    for u in corners:
+        if stub[u] >> 1 not in used:
+            loops += 1
+            while stub[u] >> 1 not in used:
+                used.add(stub[u] >> 1)
+                u = partner[vert[stub[u] ^ 1]]
+    for v in corners:
+        rot[v] = None
+        src[stub[v] >> 1] = None
+    # drop the small faces along a face edge: at a dead corner, every face
+    # runs along two of its three edges, so that covers all that touch it
+    face_of = st.face_of
+    for d in face:
+        for x in (d, d ^ 1):
+            if x in face_of:
+                for y in face_of[x][1]:
+                    del face_of[y]
+    first = 2 * len(src)
+    for a, b, a_is_source in ends:
+        ne = 2 * len(src)
+        src.append(ne if a_is_source else ne + 1)
+        for d, x in ((a, ne), (b, ne + 1)):
+            v = vert[d]
+            i = rot[v].index(d)
+            r = rot[v] = rot[v][:i] + (x,) + rot[v][i + 1 :]
+            vert.append(v)
+            prev.append(r[i - 1])
+            prev[r[(i + 1) % len(r)]] = x
+    # every face whose walk changed runs through a new dart; a leg or a
+    # sixth side ends the walk
+    for d0 in range(first, 2 * len(src)):
+        f, d = [], d0
+        while d0 not in face_of and prev[d] != d and len(f) < 5:
+            f.append(d)
+            d = prev[d ^ 1]
+            if d == d0:
+                st._note(tuple(f))
+    return loops
 
 
-def _apply_square(w, face, which):
-    corners = tuple(w.vert(d) for d in face)
-    dead_edges = {d // 2 for d in face}
-    if which == 0:
-        pairs = [(corners[0], corners[1]), (corners[2], corners[3])]
+def _step(st, rng):
+    """One agenda pop: ``None`` for a non-elliptic state, else its ``(factor, child)`` pairs."""
+    if not st.face_of:
+        return None
+    if rng is None:
+        _n, face = min(st.face_of.values())
     else:
-        pairs = [(corners[1], corners[2]), (corners[3], corners[0])]
-    return _excise(w, corners, dead_edges, pairs)
+        cands = sorted(set(st.face_of.values()))
+        _n, face = cands[rng.randrange(len(cands))]
+    if len(face) == 2:
+        return [(-2 * 3 ** _splice(st, face, 0), st)]
+    first = st.copy()
+    return [(3 ** _splice(first, face, 0), first), (3 ** _splice(st, face, 1), st)]
 
 
 def reduce_web(w, rng=None):
@@ -555,25 +565,15 @@ def reduce_web(w, rng=None):
     confluence tests drive independent rewrite orders.
     """
     out = {}
-    agenda = [(1, w)]
+    agenda = [(3 ** w.free_loops, _Reduction(w))]
     while agenda:
-        coeff, cur = agenda.pop()
-        if cur.free_loops:
-            coeff *= 3 ** cur.free_loops
-            cur = Web._trusted(cur.rot, cur.src, cur.boundary, 0, cur._vert)
-        internal = internal_faces(cur)
-        cands = _reducible_faces(cur, internal)
-        if not cands:
-            if any(len(f) < 6 for f in internal):
-                raise InvariantViolated("terminal web still has a small face")
-            out[cur] = out.get(cur, 0) + coeff
-            continue
-        face = cands[0] if rng is None else cands[rng.randrange(len(cands))]
-        if len(face) == 2:
-            agenda.append((-2 * coeff, _apply_bigon(cur, face)))
+        coeff, st = agenda.pop()
+        children = _step(st, rng)
+        if children is None:
+            web = st.web()
+            out[web] = out.get(web, 0) + coeff
         else:
-            agenda.append((coeff, _apply_square(cur, face, 0)))
-            agenda.append((coeff, _apply_square(cur, face, 1)))
+            agenda += [(k * coeff, child) for k, child in children]
     return WebCombination(out)
 
 

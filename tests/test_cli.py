@@ -391,3 +391,24 @@ def _reduction_transcript(capsys, tmp_path):
 def test_seeded_reduction_output_is_unchanged(capsys, tmp_path):
     transcript = _reduction_transcript(capsys, tmp_path)
     assert hashlib.sha1(transcript).hexdigest() == REDUCTION_GUARD_SHA1
+
+
+#: Agenda pops of ``reduce_web`` over :func:`_reduction_corpus`, in the
+#: default order and in the ``rng``-driven orders of the transcript.
+REDUCTION_STEPS = {"default": 562, "rng": 262}
+
+
+def test_reduction_step_count_is_unchanged(monkeypatch):
+    steps = []
+    step = sl3webs.webs._step
+
+    def counting(state, rng):
+        steps.append(rng is None)
+        return step(state, rng)
+
+    monkeypatch.setattr(sl3webs.webs, "_step", counting)
+    for i, w in enumerate(_reduction_corpus()):
+        reduce_web(w)
+        if i % 3 == 0:
+            reduce_web(w, random.Random(i))
+    assert {"default": steps.count(True), "rng": steps.count(False)} == REDUCTION_STEPS

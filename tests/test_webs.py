@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,9 +14,12 @@ from fixtures import (
     triangle_diskoid,
     two_gon_diskoid,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from webgen import insert_bigon, insert_square, random_elliptic
 
-from sl3webs.errors import MalformedDiskoid
+from sl3webs import webs
+from sl3webs.errors import InvariantViolated, MalformedDiskoid
 from sl3webs.webs import (
     Diskoid,
     Web,
@@ -286,3 +290,273 @@ def test_emitters_smoke():
     d = octagon_wheel_diskoid()
     assert "->" in diskoid_to_dot(d)
     assert "tikzpicture" in diskoid_to_tikz(d)
+
+
+# -- the compacting reducer, kept as an oracle -------------------------------
+#
+# The direct reading of the relations: every step traces every face of the
+# web, and ``_excise`` renumbers the survivors into a new Web.
+# ``reduce_web`` must return byte-identical JSON.
+
+
+def _stub(w, v, dead_edges):
+    hits = [d for d in w.rot[v] if d // 2 not in dead_edges]
+    if len(hits) != 1:
+        raise InvariantViolated(f"vertex {v} has {len(hits)} surviving edges")
+    return hits[0]
+
+
+def _excise(w, dead_vertices, dead_edges, pairs):
+    """Remove the given vertices and edges, splicing strands through them.
+
+    ``pairs`` lists two-element junction tuples of dead vertices: the
+    strands entering those vertices through their surviving third edges
+    get connected.  Returns a new Web.
+    """
+    partner = {}
+    for a, b in pairs:
+        partner[a] = b
+        partner[b] = a
+    if set(partner) != set(dead_vertices):
+        raise InvariantViolated("junction pairs do not cover the excised vertices")
+
+    dead_vset = set(dead_vertices)
+    chain_edges = set()
+    chains = []
+    for v in dead_vertices:
+        s = _stub(w, v, dead_edges)
+        far = w.head(s)
+        if far in dead_vset:
+            continue
+        # trace inward from the live far end
+        if s // 2 in chain_edges:
+            continue
+        segs = [s ^ 1]  # dart at the live end
+        chain_edges.add(s // 2)
+        cur = v
+        while True:
+            nxt = partner[cur]
+            s2 = _stub(w, nxt, dead_edges)
+            chain_edges.add(s2 // 2)
+            segs.append(s2 ^ 1)  # dart at the end away from nxt
+            end = w.head(s2)
+            if end not in dead_vset:
+                break
+            cur = end
+        chains.append(segs)
+    # untraced stubs form closed circles through the junctions
+    extra_loops = 0
+    loop_edges = set()
+    leftover = set()
+    for v in dead_vertices:
+        e = _stub(w, v, dead_edges) // 2
+        if e not in chain_edges:
+            leftover.add(e)
+    while leftover:
+        e = leftover.pop()
+        extra_loops += 1
+        loop_edges.add(e)
+        u, x = w.edge_ends(e)
+        cur = partner[x]
+        while True:
+            e2 = _stub(w, cur, dead_edges) // 2
+            if e2 == e:
+                break
+            leftover.discard(e2)
+            loop_edges.add(e2)
+            a, b = w.edge_ends(e2)
+            cur = partner[b if a == cur else a]
+
+    # rebuild: surviving edges keep their relative order, then chain edges
+    gone = [False] * w.n_edges
+    for e in (*dead_edges, *chain_edges, *loop_edges):
+        gone[e] = True
+    new_src = []
+    dart_map = [None] * (2 * w.n_edges)
+    for e, s in enumerate(w.src):
+        if gone[e]:
+            continue
+        ne = len(new_src)
+        dart_map[2 * e] = 2 * ne
+        dart_map[2 * e + 1] = 2 * ne + 1
+        new_src.append(2 * ne + (s & 1))
+    for segs in chains:
+        ne = len(new_src)
+        d_a, d_b = segs[0], segs[-1]
+        # direction carried by the first segment, checked on the last
+        a_is_source = w.is_out(d_a)
+        if a_is_source == w.is_out(d_b):
+            raise InvariantViolated("chain direction is inconsistent")
+        dart_map[d_a] = 2 * ne
+        dart_map[d_b] = 2 * ne + 1
+        new_src.append(2 * ne if a_is_source else 2 * ne + 1)
+
+    vert_map = [None] * w.n_vertices
+    new_rot = []
+    new_vert = [None] * (2 * len(new_src))
+    for v, r in enumerate(w.rot):
+        if v in dead_vset:
+            continue
+        nv = vert_map[v] = len(new_rot)
+        r = tuple([dart_map[d] for d in r])
+        for d in r:
+            new_vert[d] = nv
+        new_rot.append(r)
+    return Web._trusted(
+        tuple(new_rot),
+        tuple(new_src),
+        tuple([vert_map[v] for v in w.boundary]),
+        w.free_loops + extra_loops,
+        tuple(new_vert),
+    )
+
+
+def _reducible_faces(w, internal):
+    out = []
+    for f in internal:
+        if len(f) < 6:
+            if len(f) not in (2, 4):
+                raise InvariantViolated(f"odd internal face {f}")
+            if len({w.vert(d) for d in f}) < len(f):
+                # degenerate square revisiting a corner; a smaller face
+                # nearby shrinks first
+                continue
+            out.append(f)
+    # deterministic id: smallest dart first
+    keyed = []
+    for f in out:
+        i = f.index(min(f))
+        keyed.append(f[i:] + f[:i])
+    keyed.sort(key=lambda f: (len(f), f))
+    return keyed
+
+
+def _apply_bigon(w, face):
+    d1, d2 = face
+    u, v = w.vert(d1), w.vert(d2)
+    return _excise(w, (u, v), {d1 // 2, d2 // 2}, [(u, v)])
+
+
+def _apply_square(w, face, which):
+    corners = tuple(w.vert(d) for d in face)
+    dead_edges = {d // 2 for d in face}
+    if which == 0:
+        pairs = [(corners[0], corners[1]), (corners[2], corners[3])]
+    else:
+        pairs = [(corners[1], corners[2]), (corners[3], corners[0])]
+    return _excise(w, corners, dead_edges, pairs)
+
+
+def compacting_reduce(w, rng=None):
+    """Evaluate a web into an integer combination of non-elliptic webs.
+
+    Circles count 3, bigons -2 times the strand, squares the sum of the
+    two adjacent-corner reconnections.  The default strategy always
+    rewrites a minimal face (ties by smallest dart id); passing ``rng``
+    picks uniformly among the reducible faces instead, which is how the
+    confluence tests drive independent rewrite orders.
+    """
+    out = {}
+    agenda = [(1, w)]
+    while agenda:
+        coeff, cur = agenda.pop()
+        if cur.free_loops:
+            coeff *= 3 ** cur.free_loops
+            cur = Web._trusted(cur.rot, cur.src, cur.boundary, 0, cur._vert)
+        internal = internal_faces(cur)
+        cands = _reducible_faces(cur, internal)
+        if not cands:
+            if any(len(f) < 6 for f in internal):
+                raise InvariantViolated("terminal web still has a small face")
+            out[cur] = out.get(cur, 0) + coeff
+            continue
+        face = cands[0] if rng is None else cands[rng.randrange(len(cands))]
+        if len(face) == 2:
+            agenda.append((-2 * coeff, _apply_bigon(cur, face)))
+        else:
+            agenda.append((coeff, _apply_square(cur, face, 0)))
+            agenda.append((coeff, _apply_square(cur, face, 1)))
+    return WebCombination(out)
+
+
+def _json(combo):
+    return json.dumps(combo.to_json(), sort_keys=True)
+
+
+ORACLE_BASES = [
+    dualize(octagon_wheel_diskoid()),
+    dualize(hexagon_tripods_diskoid()),
+    square_basis_webs()[0],
+    theta_web(),
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    base=st.integers(0, len(ORACLE_BASES) - 1),
+    seed=st.integers(0, 2**32),
+    inserts=st.integers(1, 5),
+)
+def test_reduce_matches_the_compacting_oracle(base, seed, inserts):
+    w = random_elliptic(ORACLE_BASES[base], random.Random(seed), inserts=inserts)
+    assert _json(reduce_web(w)) == _json(compacting_reduce(w))
+    got = reduce_web(w, random.Random(seed))
+    assert _json(got) == _json(compacting_reduce(w, random.Random(seed)))
+
+
+@pytest.fixture
+def splices(monkeypatch):
+    """Each rewrite as (face length, pairing, loops made, edges made)."""
+    log = []
+    splice = webs._splice
+
+    def spy(state, face, which):
+        n_edges = len(state.src)
+        loops = splice(state, face, which)
+        log.append((len(face), which, loops, len(state.src) - n_edges))
+        return loops
+
+    monkeypatch.setattr(webs, "_splice", spy)
+    return log
+
+
+def test_theta_bigon_closes_a_free_loop(splices):
+    # the bigon's two corners share their third edge, which becomes a loop
+    assert reduce_web(theta_web()) == WebCombination({empty_web(): -6})
+    assert splices == [(2, 0, 1, 0)]
+
+
+def square_beside_bigon():
+    """Square on corners 2, 3, 4, 5 with a second edge 4 -> 3 outside it,
+    and legs from 2 and to 5; reduces to 4 times a strand."""
+    edges = [(2, 0), (1, 5), (2, 3), (4, 3), (4, 3), (4, 5), (2, 5)]
+    rotations = {2: [2, 0, 6], 3: [2, 3, 4], 4: [4, 3, 5], 5: [5, 6, 1]}
+    return web_from_edges(edges, boundary=(0, 1), rotations=rotations)
+
+
+def test_square_beside_a_bigon(splices):
+    w = square_beside_bigon()
+    assert sorted(len(f) for f in internal_faces(w)) == [2, 4]
+    want = WebCombination({strand_web(2): 4})
+    # the default order takes the bigon first
+    assert reduce_web(w) == want
+    assert splices == [(2, 0, 0, 1), (2, 0, 0, 1)]
+    splices.clear()
+    # this stream picks the square: in one smoothing a single strand runs
+    # through both junction pairs, in the other the second bigon edge
+    # closes into a loop through one pair
+    assert random.Random(0).randrange(2) == 1
+    got = reduce_web(w, random.Random(0))
+    assert got == want and _json(got) == _json(compacting_reduce(w, random.Random(0)))
+    assert sorted(splices) == [(4, 0, 0, 1), (4, 1, 1, 1)]
+
+
+def test_odd_small_face_is_an_invariant_violation():
+    # a triangle with three legs, built unchecked: its directions cannot
+    # alternate, so no web has it
+    rot = ((0, 5, 6), (2, 1, 8), (4, 3, 10), (7,), (9,), (11,))
+    vert = tuple(v for _d, v in sorted((d, v) for v, r in enumerate(rot) for d in r))
+    w = Web._trusted(rot, (0, 2, 4, 6, 8, 10), (3, 4, 5), 0, vert)
+    assert [len(f) for f in internal_faces(w)] == [3]
+    with pytest.raises(InvariantViolated, match="not a bigon or a square"):
+        reduce_web(w)
