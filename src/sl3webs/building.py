@@ -15,8 +15,12 @@ space ``L / tL`` and an ``omega_2``-neighbor to a plane.
 Two vertices lie in a common apartment: one Smith elimination of
 ``x.basis^-1 * z.basis`` gives ``g_i`` with ``L_x = <g_i>``, ``L_z = <t^(e_i) g_i>``,
 so ``L_x meet t^a L_z = <t^max(0, a + e_i) g_i>`` and ``L_x + t^a L_z =
-<t^min(0, a + e_i) g_i>``: a pair chain is one elimination plus one canonical
-form per interior vertex.
+<t^min(0, a + e_i) g_i>``.  Both bases are canonical forms, so the valuation
+of the determinant is read off their diagonals.  The apartment of a pair of
+classes is cached once per unordered pair: the distance, both pair chains and
+the residue strata of realization all read it, and the other orientation is
+the cached one reversed.  A pair chain is then one canonical form per interior
+vertex.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .series import (
     LaurentScalar,
     hermite_over_O,
     invert_upper_triangular,
-    smith_exponents,
     smith_form,
     solve_upper_triangular,
 )
@@ -154,18 +157,14 @@ def _normalized_class(h):
     return LatticeClass(h.shift(s) if s else h)
 
 
-@lru_cache(maxsize=1 << 18)
-def _distance_cached(x, y):
-    rel = invert_upper_triangular(x.basis) * y.basis
-    # d(x, y) is minus the elementary-divisor exponents, made dominant
-    return dual_weight(smith_exponents(rel))
-
-
 def distance(x, y):
-    """Dominant-weight distance d(x, y)."""
+    """Dominant-weight distance d(x, y): minus the exponents of the pair's
+    common apartment, made dominant."""
     if x == y:
         return ZERO_WEIGHT
-    return _distance_cached(x, y)
+    if y < x:
+        return dual_weight([-e for e in _apartment_cached(y, x)[0]])
+    return dual_weight(_apartment_cached(x, y)[0])
 
 
 def adjacent(x, y):
@@ -226,11 +225,36 @@ def meet(x, y):
 def common_apartment(a, b):
     """``(exps, g)`` with ``e_1 <= e_2 <= e_3``, ``L_a = <g_i>`` and ``L_b = <t^(e_i) g_i>``.
 
-    ``a`` is a triangular basis with monomial diagonal, ``b`` a nonsingular
-    3 x 3 basis, and ``g`` is ``a`` times the Smith basis of ``a^-1 * b``.
+    ``a`` and ``b`` are canonical forms (upper triangular with monomial
+    diagonal), so ``val det(a^-1 * b)`` is the sum of the diagonal exponents
+    of ``b`` minus that of ``a``; ``g`` is ``a`` times the Smith basis of
+    ``a^-1 * b``.
     """
-    exps, w = smith_form(invert_upper_triangular(a) * b)
+    cols = [solve_upper_triangular(a, col) for col in b.columns()]
+    rel = LaurentMatrix.from_columns(a.field, cols)
+    dval = sum(b.entry(i, i).val() - a.entry(i, i).val() for i in range(3))
+    exps, w = smith_form(rel, dval)
     return exps, a * w
+
+
+@lru_cache(maxsize=1 << 18)
+def _apartment_cached(x, z):
+    return common_apartment(x.basis, z.basis)
+
+
+def class_apartment(x, z):
+    """The common apartment of the classes ``x`` and ``z``, as :func:`common_apartment`
+    of their bases, eliminated once per unordered pair.
+
+    The cached orientation is the sorted one.  From ``L_z = <g_i>``,
+    ``L_x = <t^(e_i) g_i>`` the other reads ``L_x = <h_i>``, ``L_z = <t^(-e_i) h_i>``
+    with ``h_i = t^(e_i) g_i``, reversed so the exponents stay nondecreasing.
+    """
+    if not z < x:
+        return _apartment_cached(x, z)
+    exps, g = _apartment_cached(z, x)
+    cols = [[f.shift(e) for f in col] for e, col in zip(exps, g.columns())]
+    return (-exps[2], -exps[1], -exps[0]), LaurentMatrix.from_columns(g.field, cols[::-1])
 
 
 def apartment_lattice(apartment, a, bound):
@@ -253,7 +277,7 @@ def pair_chain(x, z, bound):
     """
     if x == z:
         return [x]
-    apartment = common_apartment(x.basis, z.basis)
+    apartment = class_apartment(x, z)
     lo, hi = -apartment[0][2], -apartment[0][0]
     shifts = range(lo + 1, hi) if bound is max else range(hi - 1, lo, -1)
     inner = [class_from_generators(apartment_lattice(apartment, a, bound)) for a in shifts]

@@ -76,12 +76,12 @@ def partition_to_text(p):
 
 
 def parse_word(word):
-    """Type word as a tuple of letters 1 and 2, from a string or iterable."""
-    if isinstance(word, str):
-        letters = tuple(int(c) for c in word if not c.isspace())
-    else:
-        letters = tuple(int(c) for c in word)
-    if any(c not in (1, 2) for c in letters):
+    """Type word as a tuple of letters 1 and 2, from a string or iterable whose
+    letters are the characters ``"1"``, ``"2"`` or the ints 1, 2.  Whitespace in
+    a string is skipped."""
+    chars = [c for c in word if not c.isspace()] if isinstance(word, str) else word
+    letters = tuple(int(c) if c in ("1", "2") else c for c in chars)
+    if any(type(c) is not int or c not in (1, 2) for c in letters):
         raise ValueError(f"type word may only contain 1 and 2, got {word!r}")
     return letters
 

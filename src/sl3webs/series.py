@@ -540,25 +540,23 @@ def hermite_over_O(mat):
     return LaurentMatrix.from_columns(field, out)
 
 
-def smith_form(mat):
+def smith_form(mat, det_val):
     """Elementary divisors of a nonsingular 3 x 3 matrix over O[t^-1], with a basis.
 
-    Returns ``(exps, basis)``: exponents ``e_1 <= e_2 <= e_3`` and a matrix
-    whose columns ``w_i`` are an O-basis of ``O^3`` with the columns of
-    ``mat`` spanning ``<t^(e_i) w_i>``.  Raises :class:`SingularMatrix` when
-    ``det = 0``.  Each row operation is recorded inverted in ``basis``
-    (subtracting ``q`` times row ``r`` from row ``i`` adds ``q * w_i`` to
-    ``w_r``).  The elimination runs modulo ``t^order``, which cannot move the
-    double coset; ``basis`` is kept modulo ``t^prec``, and ``prec`` exceeds
-    ``e_3 - e_1``, so it cannot move ``<t^(e_i) w_i>``.
+    ``det_val`` is the valuation of ``det(mat)``, which callers know without
+    forming the determinant.  Returns ``(exps, basis)``: exponents
+    ``e_1 <= e_2 <= e_3`` and a matrix whose columns ``w_i`` are an O-basis of
+    ``O^3`` with the columns of ``mat`` spanning ``<t^(e_i) w_i>``.  Each row
+    operation is recorded inverted in ``basis`` (subtracting ``q`` times row
+    ``r`` from row ``i`` adds ``q * w_i`` to ``w_r``).  The elimination runs
+    modulo ``t^order``, which cannot move the double coset; ``basis`` is kept
+    modulo ``t^prec``, and ``prec`` exceeds ``e_3 - e_1``, so it cannot move
+    ``<t^(e_i) w_i>``.
     """
     if mat.nrows != 3 or mat.ncols != 3:
         raise ValueError("expected a 3 x 3 matrix")
-    d = mat.det()
-    if d.is_zero():
-        raise SingularMatrix("matrix is singular over K")
     m = mat.minval()
-    order = d.val() - 2 * m + 1
+    order = det_val - 2 * m + 1
     prec = order - min(m, 0)
     field = mat.field
     grid = [[mat.entry(i, j).truncate(order) for j in range(3)] for i in range(3)]
@@ -597,7 +595,7 @@ def smith_form(mat):
             ]
     if exps != sorted(exps):
         raise InvariantViolated("pivot valuations not nondecreasing")
-    if sum(exps) != d.val():
+    if sum(exps) != det_val:
         raise InvariantViolated("exponent sum disagrees with det valuation")
     return tuple(exps), LaurentMatrix.from_columns(field, [basis[i] for i in pivot_rows])
 
@@ -609,7 +607,10 @@ def smith_exponents(mat):
     ``U * mat * V = diag(t^a_3, t^a_2, t^a_1)`` for some matrices ``U, V``
     invertible over ``O``.  Raises :class:`SingularMatrix` when ``det = 0``.
     """
-    return tuple(reversed(smith_form(mat)[0]))
+    d = mat.det()
+    if d.is_zero():
+        raise SingularMatrix("matrix is singular over K")
+    return tuple(reversed(smith_form(mat, d.val())[0]))
 
 
 def solve_upper_triangular(tri, vec):

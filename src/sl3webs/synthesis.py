@@ -26,7 +26,7 @@ from .building import (
     _normalized_class,
     _sample_coeff,
     apartment_lattice,
-    common_apartment,
+    class_apartment,
     distance,
     dual_weight,
     lattice_dual,
@@ -436,7 +436,7 @@ def _residue_strata(x, anchor):
     parabolic of the filtration.
     """
     field = x.field
-    apartment = common_apartment(x.basis, anchor.basis)
+    apartment = class_apartment(x, anchor)
     exps = apartment[0]
     stages = []
     for a in range(-exps[2], 2 - exps[0]):

@@ -10,6 +10,7 @@ from sl3webs.building import (
     LatticeClass,
     adjacent,
     apartment_lattice,
+    class_apartment,
     class_from_generators,
     class_from_json,
     common_apartment,
@@ -30,7 +31,15 @@ from sl3webs.building import (
     weight_components,
 )
 from sl3webs.errors import PreconditionViolated, RankDeficient
-from sl3webs.series import GF, QQ, LaurentMatrix, LaurentScalar, hermite_over_O
+from sl3webs.series import (
+    GF,
+    QQ,
+    LaurentMatrix,
+    LaurentScalar,
+    hermite_over_O,
+    invert_upper_triangular,
+    smith_exponents,
+)
 
 F3 = GF(3)
 
@@ -408,6 +417,32 @@ def test_common_apartment_and_pair_chains(field):
         n = steps(distance(x, z))
         assert pair_chain(x, z, max) == oracle_chain(x, z, dual_meet, range(-(n + 1), n + 2))
         assert pair_chain(x, z, min) == oracle_chain(x, z, lattice_join, range(n + 1, -(n + 2), -1))
+
+
+def old_distance(x, y):
+    """d(x, y) by a fresh elimination of the exact ``x.basis^-1 * y.basis``."""
+    if x == y:
+        return ZERO_WEIGHT
+    return dual_weight(smith_exponents(invert_upper_triangular(x.basis) * y.basis))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(10007)], ids=repr)
+def test_class_apartment_both_orientations(field):
+    rng = random.Random(53 + (field.p or 0))
+    for x, z in random_pairs(rng, field, count=6):
+        for bound in (max, min):
+            assert pair_chain(z, x, bound) == pair_chain(x, z, bound)[::-1]
+        for u, v in ((x, z), (z, x)):
+            assert distance(u, v) == old_distance(u, v)
+            exps, g = class_apartment(u, v)
+            assert sum(exps) == (invert_upper_triangular(u.basis) * v.basis).det().val()
+            # the orientation read off the cache spans what a direct elimination spans
+            direct = common_apartment(u.basis, v.basis)
+            assert exps == direct[0]
+            for a in range(-exps[2] - 1, 2 - exps[0]):
+                for bound in (max, min):
+                    got = hermite_over_O(apartment_lattice((exps, g), a, bound))
+                    assert got == hermite_over_O(apartment_lattice(direct, a, bound))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=repr)

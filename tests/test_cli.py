@@ -65,6 +65,10 @@ def test_bad_word_is_a_domain_error(capsys):
     code, out, err = invoke(capsys, "dim", "13")
     assert code == 1
     assert "1 and 2" in err
+    for argv in (("dim", "١٢١٢١٢"), ("verify", "12x"), ("diagrams", "1.2")):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: type word may only contain 1 and 2, got {argv[1]!r}\n"
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

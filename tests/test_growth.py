@@ -48,9 +48,18 @@ def test_partition_text():
 
 def test_parse_word():
     assert parse_word("1212") == (1, 2, 1, 2)
+    assert parse_word(" 12 1\t2\n") == (1, 2, 1, 2)
     assert parse_word((1, 2)) == (1, 2)
-    with pytest.raises(ValueError):
-        parse_word("103")
+    assert parse_word([2, 2, 2]) == (2, 2, 2)
+    assert parse_word(["1", 2]) == (1, 2)
+    # only the characters 1/2 and the ints 1/2: no other digits, numbers or types
+    bad_words = (
+        ("103", "12x", "١٢١٢١٢", "１２", "+1")
+        + ((1.9, 2), (1.0, 2), (True, 2), (1, "12"), (1, [2]), (3,))
+    )
+    for bad in bad_words:
+        with pytest.raises(ValueError, match="type word may only contain 1 and 2"):
+            parse_word(bad)
 
 
 def test_dif_examples():

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 from fixtures import octagon_classes, octagon_hull_extras
 
+from sl3webs import building, hulls, series
 from sl3webs.building import (
     OMEGA1,
     OMEGA2,
@@ -194,6 +196,41 @@ def test_fastpath_octagon():
     L = octagon_classes()
     path = [L[i] for i in range(1, 9)]
     assert path_hull_fastpath(path) == conv(set(path))
+
+
+def test_one_elimination_per_pair_of_classes(monkeypatch):
+    """Distances, both pair hulls and their reverse orientations all read one
+    cached common apartment: the octagon's hull and complex run one Smith
+    elimination per distinct unordered pair of classes they touch."""
+    calls = []
+    smith_form = series.smith_form
+
+    def counted(mat, det_val):
+        calls.append(mat)
+        return smith_form(mat, det_val)
+
+    monkeypatch.setattr(series, "smith_form", counted)
+    monkeypatch.setattr(building, "smith_form", counted)
+    building._apartment_cached.cache_clear()
+    hulls._pair_hull_cached.cache_clear()
+    L = octagon_classes()
+    path = [L[i] for i in range(1, 9)] + [L[1]]
+    hull = path_hull_fastpath(path)
+    cx = induced_complex(hull)
+    # every pair the two calls look at: consecutive path vertices, all pairs of
+    # path vertices, all pairs of hull vertices
+    pairs = {frozenset(p) for p in zip(path, path[1:])}
+    pairs |= {frozenset(p) for p in combinations(set(path), 2)}
+    pairs |= {frozenset(p) for p in combinations(hull, 2)}
+    assert len(hull) == len(cx.vertices) > 8
+    assert len(calls) == len(pairs) == len(hull) * (len(hull) - 1) // 2
+    # reverse orientations and repeats are read off the cache
+    for x, y in combinations(hull, 2):
+        distance(y, x)
+        assert maxconv_chain(y, x) == maxconv_chain(x, y)[::-1]
+        assert minconv_chain(y, x) == minconv_chain(x, y)[::-1]
+    assert induced_complex(path_hull_fastpath(path)).counts() == cx.counts()
+    assert len(calls) == len(pairs)
 
 
 def test_fastpath_random_paths():

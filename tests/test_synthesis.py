@@ -587,6 +587,18 @@ def test_cross_validate_over_rationals():
     assert count == 46
 
 
+def test_cross_validate_every_third_word_of_length_7():
+    # the two roads past the acceptance suite's length 6: every component of
+    # every third length-7 word, on the stream ``verify --geometric --seed 0`` uses
+    count = 0
+    for w in list(itertools.product((1, 2), repeat=7))[::3]:
+        text = "".join(map(str, w))
+        for k, g in enumerate(enumerate_diagrams(w)):
+            assert cross_validate(g, derived_rng(0, "verify", text, k)), (text, k)
+            count += 1
+    assert count == 165
+
+
 # type words of length 9-10 with a nonzero invariant space
 LONG_WORDS = st.lists(st.sampled_from((1, 2)), min_size=9, max_size=10).filter(
     lambda w: (w.count(1) - w.count(2)) % 3 == 0
