@@ -2,8 +2,8 @@
 
 Every subcommand validates its input before dispatching to the library and
 exits 0 on success, 1 on a domain error (the message names the violated
-invariant), 2 on a usage error.  All output is byte-deterministic given
-identical inputs and seeds.
+invariant) or on a file it cannot read or write, 2 on a usage error.  All
+output is byte-deterministic given identical inputs and seeds.
 
 Type words are strings over the letters 1 and 2.  Component indices are
 0-based positions in the lexicographic enumeration of growth diagrams, so
@@ -356,7 +356,7 @@ def run(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ cliques, is returned by :func:`induced_complex`.
 from functools import lru_cache
 from itertools import combinations
 
-from .building import adjacent, distance, lattice_to_json, pair_chain
+from .building import adjacent, distance, lattice_to_json, pair_chain, weight_components
 from .errors import NotAPath
 
 __all__ = [
@@ -70,7 +70,9 @@ def conv_pair(x, y):
     components nonzero; for a pure multiple of one fundamental weight the
     two pair hulls coincide in a single straight-path geodesic.
     """
-    return minconv_pair(x, y) & maxconv_pair(x, y)
+    if all(weight_components(distance(x, y))):
+        return frozenset((x, y))
+    return minconv_pair(x, y)
 
 
 def _pairwise_closure(vertices, pair_hull):

@@ -10,10 +10,14 @@ convex hull of any generic realization triangulates; dualizing it gives a
 non-elliptic web.
 
 The other direction is geometric: ``realize_polygon`` builds actual
-lattice classes matching the diagram, sampling each step inside the
-residue stratum that keeps the prescribed distance to an anchor vertex,
-and ``cross_validate`` turns the hull of the realization into a diskoid and
-checks that its dual web is the combinatorial one.
+lattice classes matching the diagram.  Each step draws a residue line of
+the current vertex from a stratum that keeps the prescribed distance to an
+anchor vertex.  The common apartment of the vertex and the anchor gives
+the distance of every stratum by arithmetic on its exponents (Fontaine,
+Kamnitzer and Kuperberg, arXiv:1103.3519), so residue rows are built for
+the chosen stratum only.  ``cross_validate`` turns the hull of the
+realization into a diskoid and checks that its dual web is the
+combinatorial one.
 """
 
 import random
@@ -419,39 +423,6 @@ def _in_span(field, rows, v):
     return all(c == 0 for c in v)
 
 
-def _residue_vector(x, column):
-    coords = solve_upper_triangular(x.basis, column)
-    return [s.coeff(0) for s in coords]
-
-
-def _residue_strata(x, anchor):
-    """Residue filtration of x by the scaled copies of the anchor lattice.
-
-    The subspace at stage a is spanned by residues of the intersection
-    with the anchor scaled by t^a, read off the pair's common apartment; it
-    shrinks from everything to zero as a grows from -max e to 1 - min e.
-    Returns the jumps as (basis, sub_basis) pairs: lines inside
-    one stage but not the next land at the same distance from the anchor,
-    because the common stabilizer of the two lattices surjects onto the
-    parabolic of the filtration.
-    """
-    field = x.field
-    apartment = class_apartment(x, anchor)
-    exps = apartment[0]
-    stages = []
-    for a in range(-exps[2], 2 - exps[0]):
-        meet = hermite_over_O(apartment_lattice(apartment, a, max))
-        rows = _echelon(field, [_residue_vector(x, col) for col in meet.columns()])
-        stages.append(rows)
-    if len(stages[0]) != 3 or stages[-1]:
-        raise InvariantViolated("residue filtration bounds are wrong")
-    return [
-        (stages[k], stages[k + 1])
-        for k in range(len(stages) - 1)
-        if len(stages[k]) > len(stages[k + 1])
-    ]
-
-
 def _stratum_sample(field, rng, big, small, tries=64):
     for _ in range(tries):
         coeffs = [_sample_coeff(field, rng) for _ in big]
@@ -464,18 +435,37 @@ def _stratum_sample(field, rng, big, small, tries=64):
     return None
 
 
+def _residue_rows(x, apartment, a):
+    """Echelon rows of the residues of ``L_x meet t^a L_anchor`` in ``L_x / t L_x``."""
+    meet = hermite_over_O(apartment_lattice(apartment, a, max))
+    return _echelon(
+        x.field,
+        [[s.coeff(0) for s in solve_upper_triangular(x.basis, col)] for col in meet.columns()],
+    )
+
+
 def _conditioned_line(x, anchor, target, rng):
-    strata = _residue_strata(x, anchor)
-    matches = []
-    for big, small in strata:
-        rep = next(r for _p, r in big if not _in_span(x.field, small, r))
-        if distance(anchor, step_to_line(x, rep)) == target:
-            matches.append((big, small))
-    if not matches:
-        return None
-    big, small = matches[rng.randrange(len(matches))] if len(matches) > 1 else matches[0]
-    v = _stratum_sample(x.field, rng, big, small)
-    return None if v is None else step_to_line(x, v)
+    """A random omega_1-neighbor of ``x`` at distance ``target`` from ``anchor``.
+
+    In the common apartment ``L_x = <g_i>``, ``L_anchor = <t^(e_i) g_i>`` the
+    residues of ``L_x meet t^a L_anchor`` are spanned by the ``g_i`` with
+    ``e_i <= -a``, so the filtration jumps only at ``a = -e_j``.  The common
+    stabilizer of the two lattices acts transitively on the lines inside a
+    jump, so all of them lie at the distance of ``<g_j, t L_x> = <t^(f_i) g_i>``
+    (``f_j = 0``, every other ``f_i = 1``) from the anchor: ``dual_weight(f - e)``.
+    Two jumps never share a distance: every ``f - e`` has the same sum, and
+    the multisets ``{1 - e_k, -e_j}`` and ``{1 - e_j, -e_k}`` agree only when
+    ``e_j = e_k``.  So the line is drawn from the one matching jump, against
+    the echelon rows of its two stages, or there is none.
+    """
+    apartment = class_apartment(x, anchor)
+    exps = apartment[0]
+    for j, e in enumerate(exps):
+        if dual_weight([(i != j) - ei for i, ei in enumerate(exps)]) == target:
+            big, small = _residue_rows(x, apartment, -e), _residue_rows(x, apartment, 1 - e)
+            v = _stratum_sample(x.field, rng, big, small)
+            return None if v is None else step_to_line(x, v)
+    return None
 
 
 def _dual_class(x):

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -8,11 +10,14 @@ import sys
 
 import pytest
 from fixtures import octagon_classes, square_web, theta_web
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sl3webs
 from sl3webs.building import distance, lattice_to_json
 from sl3webs.cli import run
 from sl3webs.growth import diagram_from_json, enumerate_diagrams
+from sl3webs.series import GF
 from sl3webs.synthesis import diskoid_from_diagram
 from sl3webs.webs import (
     diskoid_to_json,
@@ -130,6 +135,123 @@ def test_malformed_json_is_a_domain_error(capsys, argv, doc, field):
     code, out, err = invoke(capsys, *argv, stdin=json.dumps(doc))
     assert code == 1 and out == ""
     assert err.startswith("error:") and field in err
+
+
+FILE_COMMANDS = [
+    ("dualize", "FILE"),
+    ("reduce", "FILE"),
+    ("promote", "FILE"),
+    ("distance", "FILE", "0", "1"),
+    ("hull", "FILE", "--conv"),
+]
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_file_is_a_domain_error(capsys, tmp_path, argv, kind):
+    path = str(tmp_path / "missing.json" if kind == "missing" else tmp_path)
+    code, out, err = invoke(capsys, *(path if a == "FILE" else a for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and path in err
+
+
+def test_webs_out_onto_a_regular_file_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = invoke(capsys, "webs", "12", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(path) in err
+
+
+def _corruption_targets():
+    """Valid documents of every JSON reader, each with a command that reads it."""
+    octagon = enumerate_diagrams((1, 2) * 4)[8]
+    disk = diskoid_from_diagram(octagon)
+    polygon_q = [x.to_json() for x in list(octagon_classes().values())[:4]]
+    polygon_f7 = [x.to_json() for x in list(octagon_classes(GF(7)).values())[4:]]
+    return [
+        (("distance", "-", "0", "3"), polygon_q),
+        (("hull", "-", "--conv"), polygon_q),
+        (("hull", "-", "--min"), polygon_f7),
+        (("hull", "-", "--max"), polygon_f7),
+        (("reduce", "-"), web_to_json(dualize(disk))),
+        (("dualize", "-"), diskoid_to_json(disk)),
+        (("promote", "-"), octagon.to_json()),
+    ]
+
+
+# Integers stay within +-8: one can land on an exponent, and the series
+# precision of a lattice grows with the spread of its exponents, so a
+# corrupt exponent of 10**6 is slow to process without being an error.
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-8, 8)
+    | st.sampled_from([0.5, -2.0, 1e300])
+    | st.sampled_from(["", "0", "1", "-3/4", "x", "Q", "Fp"])
+)
+JSON_KEYS = st.sampled_from(
+    ["e", "c", "field", "p", "columns", "edges", "rotations", "boundary", "free_loops",
+     "n_vertices", "arrows", "triangles", "boundary_walk", "word", "first_row"]
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _positions(doc, path=()):
+    """Paths to every value inside a JSON document, the root excluded."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _positions(value, path + (key,))
+
+
+def _corrupt(doc, data):
+    """``doc`` with one to three values replaced, deleted or duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_positions(doc))
+        if not paths:
+            break
+        *path, key = data.draw(st.sampled_from(paths))
+        parent = doc
+        for k in path:
+            parent = parent[k]
+        action = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            parent[key] = data.draw(JSON_VALUES)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[data.draw(st.sampled_from(sorted(parent)))] = copy.deepcopy(parent[key])
+    return doc
+
+
+CORRUPTION_TARGETS = _corruption_targets()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(target=st.sampled_from(CORRUPTION_TARGETS), data=st.data())
+def test_corrupt_json_never_escapes_the_cli(target, data):
+    argv, doc = target
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(_corrupt(doc, data)))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+    finally:
+        sys.stdin = old
+    assert code in (0, 1)
+    assert (code == 1) == err.getvalue().startswith("error: ")
 
 
 def test_library_has_no_assert():

@@ -120,23 +120,27 @@ def test_pair_hull_symmetry_and_fixpoint():
 
 
 def test_conv_pair_trivial_iff_mixed_distance():
-    rng = random.Random(22)
-    seen_mixed = seen_pure = 0
-    for _ in range(30):
-        x = random_vertex(rng, F7, n_steps=3)
-        y = random_vertex(rng, F7, n_steps=3)
-        if x == y:
-            continue
-        a, b = weight_components(distance(x, y))
-        got = conv_pair(x, y)
-        if a > 0 and b > 0:
-            assert got == {x, y}
-            seen_mixed += 1
-        else:
-            assert len(got) == steps(distance(x, y)) + 1
-            assert got == minconv_pair(x, y) == maxconv_pair(x, y)
-            seen_pure += 1
-    assert seen_mixed > 0 and seen_pure > 0
+    # conv_pair reads the answer off the distance; the intersection of the
+    # two pair hulls is the oracle
+    for field in (F7, QQ, GF(2), GF(3), GF(10007)):
+        rng = random.Random(22)
+        seen_mixed = seen_pure = 0
+        for _ in range(30):
+            x = random_vertex(rng, field, n_steps=3)
+            y = random_vertex(rng, field, n_steps=3)
+            if x == y:
+                continue
+            a, b = weight_components(distance(x, y))
+            got = conv_pair(x, y)
+            assert got == minconv_pair(x, y) & maxconv_pair(x, y)
+            if a > 0 and b > 0:
+                assert got == {x, y}
+                seen_mixed += 1
+            else:
+                assert len(got) == steps(distance(x, y)) + 1
+                assert got == minconv_pair(x, y) == maxconv_pair(x, y)
+                seen_pure += 1
+        assert seen_mixed > 0 and seen_pure > 0, field.p
 
 
 def test_straight_path_geodesic():

@@ -17,17 +17,22 @@ from sl3webs import synthesis
 from sl3webs.building import (
     OMEGA1,
     OMEGA2,
+    LatticeClass,
     adjacent,
+    class_apartment,
     distance,
     dual_weight,
+    lattice_meet,
     lattice_to_json,
+    random_step,
+    step_to_line,
     steps,
 )
 from sl3webs.cli import derived_rng
 from sl3webs.errors import PreconditionViolated, RealizationFailed
 from sl3webs.growth import complete_from_row, dif, enumerate_diagrams, partition
 from sl3webs.hulls import SimplicialComplex2, conv, induced_complex, path_hull_fastpath
-from sl3webs.series import DEFAULT_PRIME, GF, QQ
+from sl3webs.series import DEFAULT_PRIME, GF, QQ, solve_upper_triangular
 from sl3webs.synthesis import (
     ElbowMove,
     MoveLog,
@@ -408,6 +413,90 @@ def test_conditioned_step_hits_target():
         assert back == x1
 
 
+def residue_strata(x, anchor):
+    """The jumps of the residue filtration of ``x`` by ``t^a L_anchor``, as
+    (stage, next stage) echelon rows, from every stage of the filtration.
+
+    Each stage is a fresh meet of the two representative lattices, not a
+    column selection of the cached apartment.
+    """
+    exps = class_apartment(x, anchor)[0]
+    stages = []
+    for a in range(-exps[2], 2 - exps[0]):
+        meet = lattice_meet(x.basis, anchor.basis.shift(a))
+        residues = [
+            [s.coeff(0) for s in solve_upper_triangular(x.basis, col)] for col in meet.columns()
+        ]
+        stages.append(synthesis._echelon(x.field, residues))
+        # stage a is spanned by the residues of the g_i with e_i <= -a
+        assert len(stages[-1]) == sum(e <= -a for e in exps)
+    # the filtration bounds: all of L_x / t L_x first, zero last
+    assert len(stages[0]) == 3 and stages[-1] == []
+    return [
+        (stages[k], stages[k + 1])
+        for k in range(len(stages) - 1)
+        if len(stages[k]) > len(stages[k + 1])
+    ]
+
+
+def trial_strata(x, anchor):
+    """Each jump of :func:`residue_strata` with the distance from the anchor
+    of its trial line: one echelon row of the jump, stepped to and measured."""
+    out = []
+    for big, small in residue_strata(x, anchor):
+        rep = next(r for _p, r in big if not synthesis._in_span(x.field, small, r))
+        out.append((distance(anchor, step_to_line(x, rep)), big, small))
+    return out
+
+
+def trial_conditioned_line(x, anchor, target, rng):
+    """The conditioned omega_1 step by trial steps: one into every jump, then
+    a uniform choice among the jumps that land at ``target``."""
+    matches = [(big, small) for d, big, small in trial_strata(x, anchor) if d == target]
+    if not matches:
+        return None
+    big, small = matches[rng.randrange(len(matches))] if len(matches) > 1 else matches[0]
+    v = synthesis._stratum_sample(x.field, rng, big, small)
+    return None if v is None else step_to_line(x, v)
+
+
+def random_walk(x, rng, n_steps):
+    for _ in range(n_steps):
+        x = random_step(x, OMEGA1 if rng.random() < 0.5 else OMEGA2, rng)
+    return x
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(2), GF(3), GF(7), GF(DEFAULT_PRIME)], ids=lambda f: f"p={f.p}"
+)
+def test_strata_read_off_the_apartment_match_trial_steps(field, monkeypatch):
+    # the apartment formula draws from the same jump, against the same
+    # echelon rows and on the same stream, as a trial step into every jump
+    rng = random.Random(field.p or 0)
+    jump_counts = set()
+    drawn_lines = 0
+    for n in range(16):
+        anchor = random_walk(LatticeClass.standard(field), rng, rng.randrange(3))
+        x = random_walk(anchor, rng, rng.randrange(5))
+        strata = trial_strata(x, anchor)
+        dists = [d for d, _big, _small in strata]
+        # distinct jumps lie at distinct distances, so the stream never picks a jump
+        assert len(set(dists)) == len(dists)
+        jump_counts.add(len(strata))
+        for target in dists + [(9, 0, 0)]:
+            new, old = random.Random(n), random.Random(n)
+            got = synthesis._conditioned_line(x, anchor, target, new)
+            assert got == trial_conditioned_line(x, anchor, target, old)
+            assert new.getstate() == old.getstate()
+            drawn_lines += got is not None
+            drawn = []
+            with monkeypatch.context() as m:
+                m.setattr(synthesis, "_stratum_sample", lambda _f, _r, *rows: drawn.append(rows))
+                assert synthesis._conditioned_line(x, anchor, target, None) is None
+            assert drawn == [(big, small) for d, big, small in strata if d == target]
+    assert jump_counts == {1, 2, 3} and drawn_lines > 16
+
+
 def test_conditioned_step_unreachable_target_returns_none():
     rng = random.Random(9)
     poly = realize_polygon(octagon_diagram(), rng)
@@ -597,6 +686,18 @@ def test_cross_validate_every_third_word_of_length_7():
             assert cross_validate(g, derived_rng(0, "verify", text, k)), (text, k)
             count += 1
     assert count == 165
+
+
+def test_cross_validate_every_sixth_word_of_length_8():
+    # every component of every sixth length-8 word, from the second on, on
+    # the stream ``verify --geometric --seed 0`` uses
+    count = 0
+    for w in list(itertools.product((1, 2), repeat=8))[1::6]:
+        text = "".join(map(str, w))
+        for k, g in enumerate(enumerate_diagrams(w)):
+            assert cross_validate(g, derived_rng(0, "verify", text, k)), (text, k)
+            count += 1
+    assert count == 220
 
 
 # type words of length 9-10 with a nonzero invariant space
