@@ -13,7 +13,8 @@ vertices are the triangles.  ``reduce_web`` evaluates arbitrary webs into
 integer combinations of non-elliptic ones using the circle, bigon, and
 square relations with coefficients 3, -2, and 1 + 1.  It rewrites in place,
 on edge and vertex ids that never move, and keeps only the faces with fewer
-than 6 sides up to date; only the webs it ends at are ``Web`` objects.
+than 6 sides up to date.  It keys each web it ends at by the canonical
+encoding read off those ids, and builds a ``Web`` only for a new term.
 """
 
 from .errors import InvariantViolated, MalformedDiskoid, MalformedJSON, json_fields
@@ -59,8 +60,9 @@ class Web:
     interior vertices are trivalent with a consistent direction sense, and
     every connected component is a planar map (V - E + F = 2).
     ``web_from_edges`` and ``web_from_json`` build through it.
-    ``Web._trusted`` checks nothing; ``reduce_web`` builds the webs it ends
-    at with it (the webs in between are not ``Web`` objects).
+    ``Web._trusted`` checks nothing; ``reduce_web`` builds one web with it
+    per term, when the term's encoding first appears (the webs in between,
+    and terminal webs that add to a term it holds, are not ``Web`` objects).
     """
 
     __slots__ = ("rot", "src", "boundary", "free_loops", "_vert", "_enc")
@@ -250,16 +252,14 @@ def _predecessors(w):
     return prev
 
 
-def faces(w):
-    """All face traces, each a tuple of darts in walking order."""
+def _traces(prev):
+    """Face traces of the map whose rotation predecessors are ``prev``."""
     # walk each dart to its far end, then take the rotation predecessor of
     # the reversed dart: with counterclockwise rotations this traces the
     # face lying on the left of the dart
-    n_darts = 2 * len(w.src)
-    prev = _predecessors(w)
-    seen = [False] * n_darts
+    seen = [False] * len(prev)
     out = []
-    for d0 in range(n_darts):
+    for d0 in range(len(prev)):
         if seen[d0]:
             continue
         trace = []
@@ -272,11 +272,20 @@ def faces(w):
     return out
 
 
-def internal_faces(w):
-    """Faces that never touch a boundary vertex."""
+def faces(w):
+    """All face traces, each a tuple of darts in walking order."""
+    return _traces(_predecessors(w))
+
+
+def _internal(w, prev):
     # a boundary vertex is univalent, so a face touches it through its dart
     legs = {w.rot[v][0] for v in w.boundary}
-    return [f for f in faces(w) if legs.isdisjoint(f)]
+    return [f for f in _traces(prev) if legs.isdisjoint(f)]
+
+
+def internal_faces(w):
+    """Faces that never touch a boundary vertex."""
+    return _internal(w, _predecessors(w))
 
 
 def is_nonelliptic(w):
@@ -294,27 +303,46 @@ def is_nonelliptic(w):
 # -- canonical form and isomorphism ---------------------------------------
 
 
-def _encode_from(w, root_dart, order):
-    queue = [(w.vert(root_dart), root_dart)]
-    order[w.vert(root_dart)] = len(order)
-    bpos = {v: i for i, v in enumerate(w.boundary)}
+def _encode_from(rot, vert, src, bpos, root_dart, order):
+    """Breadth-first record of the component entered through ``root_dart``.
+
+    ``rot``, ``vert`` and ``src`` are a Web's rotations, dart vertices and
+    source darts (or a reduction state's), ``bpos`` the boundary position
+    of each boundary vertex.  ``order`` numbers the vertices met so far and
+    is extended; the record holds those numbers, never vertex or dart ids.
+    """
+    v = vert[root_dart]
+    order[v] = len(order)
+    queue = [(v, root_dart)]
     out = []
-    qi = 0
-    while qi < len(queue):
-        v, entry = queue[qi]
-        qi += 1
-        r = w.rot[v]
+    for v, entry in queue:
+        r = rot[v]
         i = r.index(entry)
         rec = []
-        for k in range(len(r)):
-            d = r[(i + k) % len(r)]
-            u = w.head(d)
+        for d in r[i:] + r[:i]:
+            u = vert[d ^ 1]
             if u not in order:
                 order[u] = len(order)
                 queue.append((u, d ^ 1))
-            rec.append((w.is_out(d), order[u], bpos.get(u, -1)))
+            rec.append((src[d >> 1] == d, order[u], bpos.get(u, -1)))
         out.append((bpos.get(v, -1), tuple(rec)))
     return tuple(out)
+
+
+def _encode_legs(rot, vert, src, boundary, free_loops):
+    """Encoding parts of the components holding boundary vertices, each
+    walked from its smallest boundary position; also the vertex order and
+    the boundary positions."""
+    bpos = {v: i for i, v in enumerate(boundary)}
+    order = {}
+    parts = [len(boundary), free_loops]
+    for v in boundary:
+        if v in order:
+            continue
+        if not rot[v]:
+            raise ValueError(f"boundary vertex {v} has no edge")
+        parts.append(_encode_from(rot, vert, src, bpos, rot[v][0], order))
+    return parts, order, bpos
 
 
 def canonical_encoding(w):
@@ -326,14 +354,7 @@ def canonical_encoding(w):
     """
     if w._enc is not None:
         return w._enc
-    order = {}
-    parts = [len(w.boundary), w.free_loops]
-    for v in w.boundary:
-        if v in order:
-            continue
-        if not w.rot[v]:
-            raise ValueError(f"boundary vertex {v} has no edge")
-        parts.append(_encode_from(w, w.rot[v][0], order))
+    parts, order, bpos = _encode_legs(w.rot, w._vert, w.src, w.boundary, w.free_loops)
     leftover = [v for v in range(w.n_vertices) if v not in order and w.rot[v]]
     while leftover:
         best = None
@@ -341,7 +362,7 @@ def canonical_encoding(w):
         for v in leftover:
             for d in w.rot[v]:
                 trial = dict(order)
-                enc = _encode_from(w, d, trial)
+                enc = _encode_from(w.rot, w._vert, w.src, bpos, d, trial)
                 if best is None or enc < best:
                     best, best_order = enc, trial
         parts.append(best)
@@ -417,7 +438,7 @@ class _Reduction:
     def __init__(self, w):
         self.rot, self.src, self.vert = list(w.rot), list(w.src), list(w._vert)
         self.prev, self.face_of, self.boundary = _predecessors(w), {}, w.boundary
-        for f in internal_faces(w):
+        for f in _internal(w, self.prev):
             if len(f) < 6:
                 self._note(f)
 
@@ -437,6 +458,18 @@ class _Reduction:
         key = (len(f), f[i:] + f[:i])
         for d in f:
             self.face_of[d] = key
+
+    def encoding(self):
+        """``canonical_encoding`` of :meth:`web`, read off the live ids.
+
+        Only for a terminal state: a closed trivalent component always has
+        an internal face with fewer than 6 sides, so every component holds
+        a leg, and walks from legs never read an id.
+        """
+        parts, order, _bpos = _encode_legs(self.rot, self.vert, self.src, self.boundary, 0)
+        if len(order) != len(self.rot) - self.rot.count(None):
+            raise InvariantViolated("terminal web has a closed component")
+        return tuple(parts)
 
     def web(self):
         """The Web with live edges and vertices renumbered in id order."""
@@ -472,14 +505,13 @@ def _splice(st, face, which):
         partner[a], partner[b] = b, a
     if len(partner) != n:
         raise InvariantViolated("junction pairs do not cover the excised vertices")
+    # a corner's third dart comes just before the face's dart there
+    stub = {vert[d]: prev[d] for d in face}
     for d in face:
         src[d >> 1] = None
-    stub = {}
-    for v in corners:
-        hits = [d for d in rot[v] if src[d >> 1] is not None]
-        if len(hits) != 1:
-            raise InvariantViolated(f"vertex {v} has {len(hits)} surviving edges")
-        stub[v] = hits[0]
+    for v, s in stub.items():
+        if src[s >> 1] is None:
+            raise InvariantViolated(f"vertex {v} has no surviving edge")
 
     # strands from live far ends through the junctions, in corner order
     ends = []
@@ -531,12 +563,15 @@ def _splice(st, face, which):
     # every face whose walk changed runs through a new dart; a leg or a
     # sixth side ends the walk
     for d0 in range(first, 2 * len(src)):
+        if d0 in face_of:
+            continue
         f, d = [], d0
-        while d0 not in face_of and prev[d] != d and len(f) < 5:
+        while prev[d] != d and len(f) < 5:
             f.append(d)
             d = prev[d ^ 1]
             if d == d0:
                 st._note(tuple(f))
+                break
     return loops
 
 
@@ -564,17 +599,21 @@ def reduce_web(w, rng=None):
     picks uniformly among the reducible faces instead, which is how the
     confluence tests drive independent rewrite orders.
     """
-    out = {}
+    out = {}  # encoding -> [web, coefficient], the web built at the first hit
     agenda = [(3 ** w.free_loops, _Reduction(w))]
     while agenda:
         coeff, st = agenda.pop()
         children = _step(st, rng)
         if children is None:
-            web = st.web()
-            out[web] = out.get(web, 0) + coeff
+            enc = st.encoding()
+            term = out.get(enc)
+            if term is None:
+                term = out[enc] = [st.web(), 0]
+                term[0]._enc = enc
+            term[1] += coeff
         else:
             agenda += [(k * coeff, child) for k, child in children]
-    return WebCombination(out)
+    return WebCombination(dict(out.values()))
 
 
 # -- diskoids --------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from fixtures import octagon_classes, square_web, theta_web
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from webgen import reduction_corpus
 
 import sl3webs
 from sl3webs.building import distance, lattice_to_json
@@ -481,26 +482,12 @@ def test_seeded_geometric_output_is_unchanged(capsys, tmp_path):
 REDUCTION_GUARD_SHA1 = "9627bb74b731fb766c6b6c60546e44b3fc38d55b"
 
 
-def _reduction_corpus():
-    """Seeded open and closed elliptic webs grown by ``tests/webgen``."""
-    from fixtures import hexagon_tripods_diskoid, octagon_wheel_diskoid
-    from webgen import random_elliptic
-
-    bases = [dualize(octagon_wheel_diskoid()), dualize(hexagon_tripods_diskoid())]
-    for word in ("121212", "111222", "12121212"):
-        bases += sl3webs.basis_webs(word)
-    rng = random.Random(20261019)
-    webs = [random_elliptic(bases[rng.randrange(len(bases))], rng, inserts=4) for _ in range(40)]
-    webs += [random_elliptic(theta_web(), rng, inserts=3) for _ in range(12)]
-    return webs
-
-
 def _reduction_transcript(capsys, tmp_path):
     """JSON of ``reduce_web`` over the corpus, in the default and in
     ``rng``-driven rewrite orders, then ``sl3webs reduce`` stdout on a few
     of its webs written to files."""
     parts = []
-    corpus = _reduction_corpus()
+    corpus = reduction_corpus()
     for i, w in enumerate(corpus):
         parts.append(json.dumps(reduce_web(w).to_json(), sort_keys=True))
         if i % 3 == 0:
@@ -519,7 +506,7 @@ def test_seeded_reduction_output_is_unchanged(capsys, tmp_path):
     assert hashlib.sha1(transcript).hexdigest() == REDUCTION_GUARD_SHA1
 
 
-#: Agenda pops of ``reduce_web`` over :func:`_reduction_corpus`, in the
+#: Agenda pops of ``reduce_web`` over :func:`webgen.reduction_corpus`, in the
 #: default order and in the ``rng``-driven orders of the transcript.
 REDUCTION_STEPS = {"default": 562, "rng": 262}
 
@@ -533,7 +520,7 @@ def test_reduction_step_count_is_unchanged(monkeypatch):
         return step(state, rng)
 
     monkeypatch.setattr(sl3webs.webs, "_step", counting)
-    for i, w in enumerate(_reduction_corpus()):
+    for i, w in enumerate(reduction_corpus()):
         reduce_web(w)
         if i % 3 == 0:
             reduce_web(w, random.Random(i))

@@ -676,6 +676,34 @@ def test_cross_validate_over_rationals():
     assert count == 46
 
 
+def _hull_shape(g, rng, field, monkeypatch):
+    """Vertex, edge and triangle counts of the hull complex ``cross_validate``
+    builds over ``field``, and the canonical encoding of its dual web."""
+    seen = []
+
+    def spy(fn):
+        return lambda x: seen.append(fn(x)) or seen[-1]
+
+    monkeypatch.setattr(synthesis, "induced_complex", spy(induced_complex))
+    monkeypatch.setattr(synthesis, "canonical_encoding", spy(canonical_encoding))
+    assert cross_validate(g, rng, field=field)
+    monkeypatch.undo()
+    cx, hull_encoding, _diagram_encoding = seen
+    return len(cx.vertices), len(cx.edges), len(cx.triangles), hull_encoding
+
+
+def test_hull_complexes_agree_over_rationals_and_a_large_prime(monkeypatch):
+    # both fields realize each component from the same point of the stream
+    count = 0
+    for g, rng in verify_stream_components(5):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        qq = _hull_shape(g, rng, QQ, monkeypatch)
+        assert qq == _hull_shape(g, twin, GF(10007), monkeypatch)
+        count += 1
+    assert count == 46
+
+
 def test_cross_validate_every_third_word_of_length_7():
     # the two roads past the acceptance suite's length 6: every component of
     # every third length-7 word, on the stream ``verify --geometric --seed 0`` uses

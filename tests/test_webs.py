@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -16,15 +17,16 @@ from fixtures import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from webgen import insert_bigon, insert_square, random_elliptic
+from webgen import insert_bigon, insert_square, random_elliptic, reduction_corpus
 
-from sl3webs import webs
+from sl3webs import basis_webs, webs
 from sl3webs.errors import InvariantViolated, MalformedDiskoid
 from sl3webs.webs import (
     Diskoid,
     Web,
     WebCombination,
     boundary_word,
+    canonical_encoding,
     diskoid_from_json,
     diskoid_to_dot,
     diskoid_to_json,
@@ -560,3 +562,120 @@ def test_odd_small_face_is_an_invariant_violation():
     assert [len(f) for f in internal_faces(w)] == [3]
     with pytest.raises(InvariantViolated, match="not a bigon or a square"):
         reduce_web(w)
+
+
+def test_reduce_builds_one_web_per_term(monkeypatch):
+    # terminal states are keyed on their own ids; only a new key is compacted
+    built = []
+    web = webs._Reduction.web
+    monkeypatch.setattr(webs._Reduction, "web", lambda state: built.append(1) or web(state))
+    terms = 0
+    for i, w in enumerate(reduction_corpus()):
+        terms += len(reduce_web(w))
+        if i % 3 == 0:
+            terms += len(reduce_web(w, random.Random(i)))
+    assert len(built) == terms
+
+
+def test_terminal_state_with_a_closed_component_is_an_invariant_violation():
+    with pytest.raises(InvariantViolated, match="closed component"):
+        webs._Reduction(theta_web()).encoding()
+
+
+# -- the canonical encoding read through Web accessors, kept as an oracle ----
+#
+# ``_reference_encode_from`` and ``reference_encoding`` are the encoding as it
+# was before it read plain sequences, less the read and write of ``w._enc``.
+
+
+def _reference_encode_from(w, root_dart, order):
+    queue = [(w.vert(root_dart), root_dart)]
+    order[w.vert(root_dart)] = len(order)
+    bpos = {v: i for i, v in enumerate(w.boundary)}
+    out = []
+    qi = 0
+    while qi < len(queue):
+        v, entry = queue[qi]
+        qi += 1
+        r = w.rot[v]
+        i = r.index(entry)
+        rec = []
+        for k in range(len(r)):
+            d = r[(i + k) % len(r)]
+            u = w.head(d)
+            if u not in order:
+                order[u] = len(order)
+                queue.append((u, d ^ 1))
+            rec.append((w.is_out(d), order[u], bpos.get(u, -1)))
+        out.append((bpos.get(v, -1), tuple(rec)))
+    return tuple(out)
+
+
+def reference_encoding(w):
+    order = {}
+    parts = [len(w.boundary), w.free_loops]
+    for v in w.boundary:
+        if v in order:
+            continue
+        if not w.rot[v]:
+            raise ValueError(f"boundary vertex {v} has no edge")
+        parts.append(_reference_encode_from(w, w.rot[v][0], order))
+    leftover = [v for v in range(w.n_vertices) if v not in order and w.rot[v]]
+    while leftover:
+        best = None
+        best_order = None
+        for v in leftover:
+            for d in w.rot[v]:
+                trial = dict(order)
+                enc = _reference_encode_from(w, d, trial)
+                if best is None or enc < best:
+                    best, best_order = enc, trial
+        parts.append(best)
+        order = best_order
+        leftover = [v for v in leftover if v not in order]
+    return tuple(parts)
+
+
+def _uncached(w):
+    return Web._trusted(w.rot, w.src, w.boundary, w.free_loops, w._vert)
+
+
+def test_canonical_encoding_matches_the_reference():
+    basis = 0
+    for n in range(1, 8):
+        for word in itertools.product((1, 2), repeat=n):
+            for w in basis_webs(word):
+                for x in (w, rotate(w)):
+                    assert canonical_encoding(_uncached(x)) == reference_encoding(x)
+                basis += 1
+    assert basis == 638
+    # the corpus holds 12 closed webs grown from the theta web; the terms
+    # carry the encoding ``reduce_web`` read off their terminal states
+    corpus = reduction_corpus()
+    terms = 0
+    for i, w in enumerate(corpus):
+        for combo in (reduce_web(w), reduce_web(w, random.Random(i))):
+            for term, _c in combo:
+                assert canonical_encoding(term) == reference_encoding(term)
+                terms += 1
+        for x in (w, rotate(w)):
+            assert canonical_encoding(_uncached(x)) == reference_encoding(x)
+    assert sum(not w.boundary for w in corpus) == 12
+    assert terms == 304
+
+
+def test_state_encoding_matches_its_web(monkeypatch):
+    terminal = []
+    encoding = webs._Reduction.encoding
+
+    def spy(state):
+        enc = encoding(state)
+        assert enc == canonical_encoding(state.web())
+        terminal.append(enc)
+        return enc
+
+    monkeypatch.setattr(webs._Reduction, "encoding", spy)
+    for i, w in enumerate(reduction_corpus()):
+        reduce_web(w)
+        reduce_web(w, random.Random(i))
+    assert len(terminal) > len(set(terminal))

@@ -6,7 +6,12 @@ insertions are exact inverses of the reduction rewrites, so the results
 are valid direction-consistent webs.
 """
 
-from sl3webs.webs import faces, internal_faces, web_from_edges
+import random
+
+from fixtures import hexagon_tripods_diskoid, octagon_wheel_diskoid, theta_web
+
+from sl3webs.synthesis import basis_webs
+from sl3webs.webs import dualize, faces, internal_faces, web_from_edges
 
 
 def _web_data(w):
@@ -113,3 +118,15 @@ def random_elliptic(base, rng, inserts=3):
         else:
             w = insert_bigon(w, rng)
     return w
+
+
+def reduction_corpus():
+    """Seeded open and closed elliptic webs grown from basis webs and from
+    the theta web."""
+    bases = [dualize(octagon_wheel_diskoid()), dualize(hexagon_tripods_diskoid())]
+    for word in ("121212", "111222", "12121212"):
+        bases += basis_webs(word)
+    rng = random.Random(20261019)
+    webs = [random_elliptic(bases[rng.randrange(len(bases))], rng, inserts=4) for _ in range(40)]
+    webs += [random_elliptic(theta_web(), rng, inserts=3) for _ in range(12)]
+    return webs
