@@ -21,10 +21,6 @@ class InvalidChain(ValueError):
     """Raised when a sequence of partitions is not a chain of vertical strips."""
 
 
-class LocalRuleViolation(ValueError):
-    """Raised when growth-diagram completion contradicts a prescribed entry."""
-
-
 class NotAPartitionAfterSort(ValueError):
     """Raised when the growth local rule produces a non-partition triple."""
 

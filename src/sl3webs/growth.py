@@ -14,13 +14,7 @@ Pieri rules.
 
 from itertools import combinations
 
-from .errors import (
-    InvalidChain,
-    LocalRuleViolation,
-    NotAPartitionAfterSort,
-    NotVerticalStrip,
-    json_fields,
-)
+from .errors import InvalidChain, NotAPartitionAfterSort, NotVerticalStrip, json_fields
 
 __all__ = [
     "GrowthDiagram",
@@ -86,34 +80,17 @@ def parse_word(word):
     return letters
 
 
-def _dif3(a, b):
-    """Row set of :func:`dif`, on padded partitions."""
-    d0, d1, d2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
-    lo, hi = min(d0, d1, d2), max(d0, d1, d2)
-    if lo < -1 or hi > 1 or lo < 0 < hi:
-        raise NotVerticalStrip(
-            f"{_unpadded(a)} and {_unpadded(b)} do not differ by a vertical strip"
-        )
-    return frozenset(r for r, d in ((1, d0), (2, d1), (3, d2)) if d)
-
-
 def _is_strip3(a, b):
     return 0 <= b[0] - a[0] <= 1 and 0 <= b[1] - a[1] <= 1 and 0 <= b[2] - a[2] <= 1
 
 
 def _local_rule3(g, g_below, g_right):
-    """:func:`local_rule` on padded partitions, returning a padded one."""
-    rows = _dif3(g, g_below)
-    r1, r2, r3 = g_right[0] - (1 in rows), g_right[1] - (2 in rows), g_right[2] - (3 in rows)
-    out = sorted((r1, r2, r3), reverse=True)
-    if out[2] < 0:
-        raise NotAPartitionAfterSort(f"negative part in {out}")
-    result = tuple(out)
-    if not (_is_strip3(g_below, result) and _is_strip3(result, g_right)):
-        raise NotAPartitionAfterSort(
-            f"{_unpadded(result)} does not extend the chains through the square"
-        )
-    return result
+    """:func:`local_rule` on padded partitions, returning a padded one, for
+    ``g_below`` inside ``g`` by a vertical strip; nothing is checked."""
+    a = g_right[0] - g[0] + g_below[0]
+    b = g_right[1] - g[1] + g_below[1]
+    c = g_right[2] - g[2] + g_below[2]
+    return tuple(sorted((a, b, c), reverse=True))
 
 
 def is_vertical_strip(inner, outer):
@@ -127,7 +104,12 @@ def dif(a, b):
     One argument must contain the other, with at most one box of difference
     per row; otherwise :class:`NotVerticalStrip` is raised.
     """
-    return _dif3(_padded(partition(a)), _padded(partition(b)))
+    a, b = _padded(partition(a)), _padded(partition(b))
+    if not (_is_strip3(a, b) or _is_strip3(b, a)):
+        raise NotVerticalStrip(
+            f"{_unpadded(a)} and {_unpadded(b)} do not differ by a vertical strip"
+        )
+    return frozenset(r for r in (1, 2, 3) if a[r - 1] != b[r - 1])
 
 
 def complement(p, k):
@@ -144,23 +126,33 @@ def local_rule(g, g_below, g_right):
     INPUT:
 
     - ``g`` -- the corner gamma_{i,j}
-    - ``g_below`` -- gamma_{i+1,j}, contained in ``g``
+    - ``g_below`` -- gamma_{i+1,j}, inside ``g`` by a vertical strip
     - ``g_right`` -- gamma_{i,j+1}, containing ``g``
 
     OUTPUT: gamma_{i+1,j+1}, obtained by subtracting one box from
     ``g_right`` in every row where ``g`` and ``g_below`` differ, then
-    sorting.  Raises :class:`NotAPartitionAfterSort` when the result fails
-    to extend the two chains through the square.
+    sorting.  Raises :class:`NotVerticalStrip` when ``g_below`` is not
+    inside ``g`` by a vertical strip, and :class:`NotAPartitionAfterSort`
+    when the result fails to extend the two chains through the square.
     """
-    padded = (_padded(partition(q)) for q in (g, g_below, g_right))
-    return _unpadded(_local_rule3(*padded))
+    g, g_below, g_right = (_padded(partition(q)) for q in (g, g_below, g_right))
+    if not _is_strip3(g_below, g):
+        raise NotVerticalStrip(
+            f"{_unpadded(g_below)} is not inside {_unpadded(g)} by a vertical strip"
+        )
+    out = _local_rule3(g, g_below, g_right)
+    # g_below has no negative part, so this also rejects one in out
+    if not (_is_strip3(g_below, out) and _is_strip3(out, g_right)):
+        raise NotAPartitionAfterSort(f"{list(out)} does not extend the chains through the square")
+    return _unpadded(out)
 
 
 class GrowthDiagram:
     """Completed cylindrical growth diagram.
 
     ``rows`` holds n+1 tuples; row i (1-based) lists gamma_{i,i..i+n}.
-    Build through :func:`complete_from_row`, which validates everything.
+    Build through :func:`complete_from_row`, which validates the first row;
+    every other row follows from it.
     """
 
     __slots__ = ("word", "rows")
@@ -231,59 +223,53 @@ def diagram_from_json(obj):
 
 
 def _validate_first_row(first_row):
+    """The canonical first row, or :class:`InvalidChain` when it is not a
+    chain of 1- and 2-box vertical strips from the empty partition to a
+    rectangle."""
     row = [partition(p) for p in first_row]
     if len(row) < 2:
         raise InvalidChain("a growth diagram needs at least one step")
     if row[0] != ():
         raise InvalidChain("first entry must be the empty partition")
-    word = []
     for a, b in zip(row, row[1:]):
-        size = sum(b) - sum(a)
-        if not is_vertical_strip(a, b) or size not in (1, 2):
+        if not is_vertical_strip(a, b) or sum(b) - sum(a) not in (1, 2):
             raise InvalidChain(f"step {a} -> {b} is not a 1- or 2-box vertical strip")
-        word.append(size)
     last = _padded(row[-1])
     if not last[0] == last[1] == last[2]:
         raise InvalidChain(f"final entry {row[-1]} is not a rectangle")
-    return row, tuple(word), last[0]
+    return row
 
 
 def complete_from_row(first_row):
-    """Complete and validate the growth diagram determined by one row.
+    """Validate one row and complete the growth diagram it determines.
 
     INPUT:
 
     - ``first_row`` -- chain of n+1 partitions from the empty partition to
       a rectangle, each step a vertical strip of one or two boxes
 
-    OUTPUT: a validated :class:`GrowthDiagram`.  Raises
-    :class:`InvalidChain` for a malformed row and
-    :class:`LocalRuleViolation` (with the failing square) when the sweep
-    breaks down.
+    OUTPUT: the :class:`GrowthDiagram` with that first row.  Raises
+    :class:`InvalidChain` for a malformed row; nothing else can fail, since
+    promotion maps every such chain to another one.
     """
-    row, word, k = _validate_first_row(first_row)
+    return _complete(_validate_first_row(first_row))
+
+
+def _complete(row):
+    """Growth diagram of a canonical first row the library built itself.
+
+    Each square's ``g_below`` lies inside its ``g`` by a vertical strip, and
+    the far end of every row is the rectangle, so nothing is checked.
+    """
+    word = tuple(sum(b) - sum(a) for a, b in zip(row, row[1:]))
     n = len(word)
-    rect = (k, k, k)
+    rect = _padded(row[-1])
     rows = [tuple(row)]
     prev = [_padded(p) for p in row]
     for i in range(1, n + 1):
         cur = [(0, 0, 0)]
         for j in range(i + 1, i + n):
-            try:
-                cur.append(_local_rule3(prev[j - i], cur[-1], prev[j - i + 1]))
-            except (NotVerticalStrip, NotAPartitionAfterSort) as exc:
-                raise LocalRuleViolation(f"square ({i}, {j}): {exc}") from exc
-        # the far end of every row is pinned to the rectangle; validate the
-        # wrap step instead of computing it
-        try:
-            closing = _dif3(rect, cur[-1])
-        except NotVerticalStrip as exc:
-            raise LocalRuleViolation(f"row {i + 1} does not close onto {rect}: {exc}")
-        if len(closing) != word[i - 1]:
-            raise LocalRuleViolation(
-                f"row {i + 1} closes with a {len(closing)}-box strip, "
-                f"expected letter {word[i - 1]}"
-            )
+            cur.append(_local_rule3(prev[j - i], cur[-1], prev[j - i + 1]))
         cur.append(rect)
         rows.append(tuple(_unpadded(p) for p in cur))
         prev = cur
@@ -344,7 +330,7 @@ def _vstrip_additions(p, size, cap):
         for r in rows:
             q[r - 1] += 1
         if q[0] <= cap and all(q[i] >= q[i + 1] for i in range(2)):
-            out.append(partition(q))
+            out.append(_unpadded(tuple(q)))
     return out
 
 
@@ -377,7 +363,7 @@ def enumerate_diagrams(word):
             chain.pop()
 
     dfs([()])
-    return [complete_from_row(c) for c in found]
+    return [_complete(c) for c in found]
 
 
 def dim_inv(word):

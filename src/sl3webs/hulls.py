@@ -8,7 +8,6 @@ such supersets by a pairwise fixpoint; ``conv`` is their intersection.  The
 cliques, is returned by :func:`induced_complex`.
 """
 
-from functools import lru_cache
 from itertools import combinations
 
 from .building import adjacent, distance, lattice_to_json, pair_chain, weight_components
@@ -48,19 +47,14 @@ def maxconv_chain(x, y):
     return pair_chain(x, y, min)
 
 
-@lru_cache(maxsize=1 << 17)
-def _pair_hull_cached(x, y, bound):
-    return frozenset(pair_chain(x, y, bound))
-
-
 def minconv_pair(x, y):
     """Min-convex hull of two vertices, as a frozenset of classes."""
-    return _pair_hull_cached(*sorted((x, y)), max)
+    return frozenset(pair_chain(*sorted((x, y)), max))
 
 
 def maxconv_pair(x, y):
     """Max-convex hull of two vertices, as a frozenset of classes."""
-    return _pair_hull_cached(*sorted((x, y)), min)
+    return frozenset(pair_chain(*sorted((x, y)), min))
 
 
 def conv_pair(x, y):

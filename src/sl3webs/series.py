@@ -30,6 +30,8 @@ from math import inf
 
 from .errors import InvariantViolated, MalformedJSON, RankDeficient, SingularMatrix, json_fields
 
+# Miller-Rabin with these bases is exact below 318665857834031151167461, the
+# least strong pseudoprime to all of them; moduli are kept below 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -67,6 +69,8 @@ class CoefficientField:
     __slots__ = ("p",)
 
     def __init__(self, p=None):
+        if p is not None and p >= 2**64:
+            raise ValueError(f"modulus {p} is not below 2**64")
         if p is not None and not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

@@ -46,7 +46,7 @@ from .errors import (
     PreconditionViolated,
     RealizationFailed,
 )
-from .growth import _padded, _unpadded, complete_from_row
+from .growth import _complete, _padded, _unpadded
 from .hulls import induced_complex, path_hull_fastpath
 from .series import DEFAULT_PRIME, GF, hermite_over_O, solve_upper_triangular
 from .webs import Diskoid, canonical_encoding, dualize
@@ -236,7 +236,7 @@ def remove_uturn(d, i):
         raise PreconditionViolated("cannot remove a U-turn from a 2-gon")
     if _weight(d.entry(i, i + 2)) != ZERO_WEIGHT:
         raise PreconditionViolated(f"no U-turn at position {i}")
-    return complete_from_row(_less_columns(d.rebase(i).first_row))
+    return _complete(_less_columns(d.rebase(i).first_row))
 
 
 def remove_sharp(d, i):
@@ -250,7 +250,7 @@ def remove_sharp(d, i):
     """
     if _weight(d.entry(i, i + 2)) not in (OMEGA1, OMEGA2):
         raise PreconditionViolated(f"no sharp corner at position {i}")
-    return complete_from_row([()] + _less_columns(d.rebase(i).first_row))
+    return _complete([()] + _less_columns(d.rebase(i).first_row))
 
 
 def elbow_move(d, i):
@@ -259,9 +259,8 @@ def elbow_move(d, i):
     The distance from vertex i to the new corner is the flip of the old
     one between the two fundamental weights; all other vertices keep their
     distances, so the new diagram is completed from the modified first row
-    of the diagram rebased at i.  Raises
-    :class:`~sl3webs.errors.LocalRuleViolation` if the completion breaks
-    down, which the rhombus geometry rules out.
+    of the diagram rebased at i.  The modified row is again a chain of
+    vertical strips, so it is completed without checks.
     """
     based = d.rebase(i)
     w1, w2 = based.word[0], based.word[1]
@@ -271,7 +270,7 @@ def elbow_move(d, i):
         raise PreconditionViolated(f"vertices {i}, {i + 2} coincide, not an elbow")
     row = list(based.first_row)
     row[1] = (1, 1) if row[1] == (1,) else (1,)
-    return complete_from_row(row)
+    return _complete(row)
 
 
 # -- the reduction driver -----------------------------------------------------

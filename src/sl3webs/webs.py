@@ -382,12 +382,18 @@ def iso(w1, w2):
 
 
 class WebCombination:
-    """Integer combination of webs, keyed by canonical form."""
+    """Integer combination of webs, keyed by canonical form, from a mapping
+    or from (web, coefficient) pairs, where the last pair for a web counts."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        self.terms = {w: c for w, c in dict(terms).items() if c}
+        self.terms = {}
+        for w, c in terms.items() if isinstance(terms, dict) else terms:
+            if c:
+                self.terms[w] = c
+            else:
+                self.terms.pop(w, None)
         words = {boundary_word(w) for w in self.terms}
         if len(words) > 1:
             raise ValueError("terms mix boundary types")
@@ -613,7 +619,7 @@ def reduce_web(w, rng=None):
             term[1] += coeff
         else:
             agenda += [(k * coeff, child) for k, child in children]
-    return WebCombination(dict(out.values()))
+    return WebCombination(out.values())
 
 
 # -- diskoids --------------------------------------------------------------

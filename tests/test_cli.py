@@ -3,6 +3,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import random
@@ -18,7 +19,7 @@ import sl3webs
 from sl3webs.building import distance, lattice_to_json
 from sl3webs.cli import run
 from sl3webs.growth import diagram_from_json, enumerate_diagrams
-from sl3webs.series import GF
+from sl3webs.series import DEFAULT_PRIME, GF
 from sl3webs.synthesis import diskoid_from_diagram
 from sl3webs.webs import (
     diskoid_to_json,
@@ -265,6 +266,30 @@ def test_library_has_no_assert():
                 assert node.id != "AssertionError", f"{path.name}:{node.lineno}"
 
 
+def test_library_has_no_unused_import():
+    """Every name a module of the library imports is read in it, or listed in
+    its ``__all__``."""
+    for path in sorted(pathlib.Path(sl3webs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused = sorted((line, name) for name, line in imported.items() if name not in used)
+        assert not unused, f"{path.name}: unused imports {unused}"
+
+
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
 
@@ -425,6 +450,32 @@ def test_realize_flag_conflicts_and_ranges(capsys):
     assert "out of range" in err
 
 
+#: 399165290221 * 798330580441, the least strong pseudoprime to the bases 2-37
+PSI12 = 318665857834031151167461
+
+
+def _diagonal_lattice(p, e):
+    """JSON of the lattice diag(t^e, 1, 1) over F_p."""
+    one = [{"e": 0, "c": 1}]
+    columns = [[[{"e": e, "c": 1}], [], []], [[], one, []], [[], [], one]]
+    return {"field": "Fp", "p": p, "columns": columns}
+
+
+def test_moduli_at_or_above_2_64_are_refused(capsys, tmp_path):
+    code, out, err = invoke(capsys, "realize", "1212", "--component", "0", "--p", str(PSI12))
+    assert (code, out) == (1, "") and "2**64" in err
+    path = tmp_path / "polygon.json"
+    for p, expected in ((DEFAULT_PRIME, 0), (PSI12, 1)):
+        path.write_text(json.dumps([_diagonal_lattice(p, 0), _diagonal_lattice(p, 1)]))
+        code, out, err = invoke(capsys, "distance", str(path), "0", "1")
+        assert code == expected
+    assert out == "" and "2**64" in err
+    mersenne61 = 2**61 - 1
+    code, out, err = invoke(capsys, "realize", "1212", "--component", "0", "--p", str(mersenne61))
+    assert code == 0 and err == ""
+    assert all(obj["p"] == mersenne61 for obj in json.loads(out))
+
+
 def test_verify_prints_a_line_per_component(capsys):
     code, out, err = invoke(capsys, "verify", "1212")
     assert code == 0
@@ -525,3 +576,26 @@ def test_reduction_step_count_is_unchanged(monkeypatch):
         if i % 3 == 0:
             reduce_web(w, random.Random(i))
     assert {"default": steps.count(True), "rng": steps.count(False)} == REDUCTION_STEPS
+
+
+#: SHA-1 of :func:`_combinatorial_transcript`.  Any change to the growth
+#: diagrams, their order, the basis webs or ``verify``'s report changes it.
+COMBINATORIAL_GUARD_SHA1 = "7c058b9395131067758355e5e5c4056988a78abf"
+
+
+def _combinatorial_transcript(capsys):
+    """Stdout of ``webs W --format json``, ``diagrams W`` and ``verify W``
+    for every type word W up to length 7, by length and then word."""
+    parts = []
+    for n in range(1, 8):
+        for w in itertools.product("12", repeat=n):
+            word = "".join(w)
+            for argv in (("webs", word, "--format", "json"), ("diagrams", word), ("verify", word)):
+                code, out, _err = invoke(capsys, *argv)
+                parts.append(f"{code}\n{out}")
+    return "".join(parts).encode()
+
+
+def test_combinatorial_output_is_unchanged(capsys):
+    transcript = _combinatorial_transcript(capsys)
+    assert hashlib.sha1(transcript).hexdigest() == COMBINATORIAL_GUARD_SHA1

@@ -5,12 +5,13 @@ from fixtures import OCTAGON_ROW1, OCTAGON_ROW2, OCTAGON_WORD
 
 from sl3webs.errors import (
     InvalidChain,
-    LocalRuleViolation,
     NotAPartitionAfterSort,
     NotVerticalStrip,
 )
 from sl3webs.growth import (
     GrowthDiagram,
+    _padded,
+    _unpadded,
     complement,
     complete_from_row,
     diagram_from_json,
@@ -26,6 +27,102 @@ from sl3webs.growth import (
     row_to_tableau,
     tableau_to_row,
 )
+from sl3webs.synthesis import reduce_to_base
+
+# -- the checked sweep, kept as an oracle ---------------------------------------
+#
+# ``complete_from_row`` validates its first row and then sweeps with no
+# checks.  This is the sweep that checked every square and every row closing,
+# kept as written so the trusted one can be compared against it.
+
+
+class SweepBroke(Exception):
+    """Raised when the checked sweep meets a square or row it cannot close."""
+
+
+def _dif3(a, b):
+    d0, d1, d2 = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    lo, hi = min(d0, d1, d2), max(d0, d1, d2)
+    if lo < -1 or hi > 1 or lo < 0 < hi:
+        raise NotVerticalStrip(
+            f"{_unpadded(a)} and {_unpadded(b)} do not differ by a vertical strip"
+        )
+    return frozenset(r for r, d in ((1, d0), (2, d1), (3, d2)) if d)
+
+
+def _is_strip3(a, b):
+    return 0 <= b[0] - a[0] <= 1 and 0 <= b[1] - a[1] <= 1 and 0 <= b[2] - a[2] <= 1
+
+
+def _checked_local_rule3(g, g_below, g_right):
+    rows = _dif3(g, g_below)
+    r1, r2, r3 = g_right[0] - (1 in rows), g_right[1] - (2 in rows), g_right[2] - (3 in rows)
+    out = sorted((r1, r2, r3), reverse=True)
+    if out[2] < 0:
+        raise NotAPartitionAfterSort(f"negative part in {out}")
+    result = tuple(out)
+    if not (_is_strip3(g_below, result) and _is_strip3(result, g_right)):
+        raise NotAPartitionAfterSort(
+            f"{_unpadded(result)} does not extend the chains through the square"
+        )
+    return result
+
+
+def _checked_first_row(first_row):
+    row = [partition(p) for p in first_row]
+    if len(row) < 2:
+        raise InvalidChain("a growth diagram needs at least one step")
+    if row[0] != ():
+        raise InvalidChain("first entry must be the empty partition")
+    word = []
+    for a, b in zip(row, row[1:]):
+        size = sum(b) - sum(a)
+        if not is_vertical_strip(a, b) or size not in (1, 2):
+            raise InvalidChain(f"step {a} -> {b} is not a 1- or 2-box vertical strip")
+        word.append(size)
+    last = _padded(row[-1])
+    if not last[0] == last[1] == last[2]:
+        raise InvalidChain(f"final entry {row[-1]} is not a rectangle")
+    return row, tuple(word), last[0]
+
+
+def checked_completion(first_row):
+    row, word, k = _checked_first_row(first_row)
+    n = len(word)
+    rect = (k, k, k)
+    rows = [tuple(row)]
+    prev = [_padded(p) for p in row]
+    for i in range(1, n + 1):
+        cur = [(0, 0, 0)]
+        for j in range(i + 1, i + n):
+            try:
+                cur.append(_checked_local_rule3(prev[j - i], cur[-1], prev[j - i + 1]))
+            except (NotVerticalStrip, NotAPartitionAfterSort) as exc:
+                raise SweepBroke(f"square ({i}, {j}): {exc}") from exc
+        # the far end of every row is pinned to the rectangle; validate the
+        # wrap step instead of computing it
+        try:
+            closing = _dif3(rect, cur[-1])
+        except NotVerticalStrip as exc:
+            raise SweepBroke(f"row {i + 1} does not close onto {rect}: {exc}")
+        if len(closing) != word[i - 1]:
+            raise SweepBroke(
+                f"row {i + 1} closes with a {len(closing)}-box strip, "
+                f"expected letter {word[i - 1]}"
+            )
+        cur.append(rect)
+        rows.append(tuple(_unpadded(p) for p in cur))
+        prev = cur
+    return GrowthDiagram(word, rows)
+
+
+def same_diagram(d, e):
+    return d.rows == e.rows and d.word == e.word
+
+
+def words_up_to(max_len):
+    for n in range(1, max_len + 1):
+        yield from itertools.product((1, 2), repeat=n)
 
 
 def test_partition_normalization():
@@ -86,6 +183,44 @@ def test_local_rule_examples():
     assert local_rule((2, 1), (2, 1), (2, 2)) == (2, 2)
     with pytest.raises(NotAPartitionAfterSort):
         local_rule((1,), (), ())
+
+
+def test_local_rule_requires_g_below_inside_g():
+    # the documented precondition: g_below is inside g by a vertical strip
+    with pytest.raises(NotVerticalStrip):
+        local_rule((1,), (1, 1), (2, 1))
+    with pytest.raises(NotVerticalStrip):
+        local_rule((2,), (), (2, 1))
+    with pytest.raises(NotVerticalStrip):
+        local_rule((2, 1), (1, 1, 1), (2, 2, 1))
+
+
+def test_trusted_sweep_matches_the_checked_one():
+    """Every valid first row of every word up to length 8: 2,584 diagrams."""
+    count = 0
+    for word in words_up_to(8):
+        for d in enumerate_diagrams(word):
+            oracle = checked_completion(d.first_row)
+            assert same_diagram(d, oracle) and same_diagram(complete_from_row(d.first_row), oracle)
+            count += 1
+    assert count == 2584
+
+
+#: Moves ``reduce_to_base`` makes over every diagram of every word up to length 8.
+MOVES_UP_TO_8 = 11340
+
+
+def test_every_move_output_matches_the_checked_sweep():
+    """Each diagram a move produces inside ``reduce_to_base`` is the checked
+    completion of its own first row."""
+    moves = 0
+    for word in words_up_to(8):
+        for d in enumerate_diagrams(word):
+            base, log = reduce_to_base(d)
+            for after in (log.states + (base,))[1:]:
+                assert same_diagram(after, checked_completion(after.first_row))
+                moves += 1
+    assert moves == MOVES_UP_TO_8
 
 
 def test_octagon_diagram():

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from fixtures import octagon_classes, octagon_hull_extras
 
-from sl3webs import building, hulls, series
+from sl3webs import building, series
 from sl3webs.building import (
     OMEGA1,
     OMEGA2,
@@ -216,7 +216,6 @@ def test_one_elimination_per_pair_of_classes(monkeypatch):
     monkeypatch.setattr(series, "smith_form", counted)
     monkeypatch.setattr(building, "smith_form", counted)
     building._apartment_cached.cache_clear()
-    hulls._pair_hull_cached.cache_clear()
     L = octagon_classes()
     path = [L[i] for i in range(1, 9)] + [L[1]]
     hull = path_hull_fastpath(path)

@@ -261,6 +261,15 @@ def test_web_combination_algebra():
         WebCombination({a: 1, strand_web(): 1})
 
 
+def test_web_combination_from_pairs():
+    # the last pair for a web counts, as in dict(pairs)
+    a, b = square_basis_webs()
+    assert WebCombination([(a, 1), (b, 2), (a, 0)]) == WebCombination({b: 2})
+    assert WebCombination([(a, 0), (a, 4)]) == WebCombination({a: 4})
+    with pytest.raises(ValueError):
+        WebCombination([(a, 1), (strand_web(), 1)])
+
+
 def test_iso_is_label_sensitive():
     a, b = square_basis_webs()
     assert not iso(a, b)
