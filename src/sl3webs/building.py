@@ -237,7 +237,8 @@ def common_apartment(a, b):
     return exps, a * w
 
 
-@lru_cache(maxsize=1 << 18)
+# one polygon's hull reaches at most ~150 pairs; 4,096 entries hold ~18 MiB
+@lru_cache(maxsize=1 << 12)
 def _apartment_cached(x, z):
     return common_apartment(x.basis, z.basis)
 

@@ -34,7 +34,7 @@ from .growth import (
 from .hulls import conv, induced_complex, maxconv, minconv
 from .errors import MalformedJSON
 from .series import DEFAULT_PRIME, GF, QQ
-from .synthesis import cross_validate, diskoid_from_diagram, realize_polygon
+from .synthesis import basis_webs, cross_validate, diskoid_from_diagram, realize_polygon
 from .webs import (
     boundary_word,
     canonical_encoding,
@@ -135,11 +135,7 @@ def _cmd_diagrams(args):
 
 
 def _cmd_webs(args):
-    word = parse_word(args.word)
-    rendered = [
-        emit(dualize(diskoid_from_diagram(d)), args.format)
-        for d in enumerate_diagrams(word)
-    ]
+    rendered = [emit(w, args.format) for w in basis_webs(args.word)]
     if args.out is None:
         for block in rendered:
             print(block)

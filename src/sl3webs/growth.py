@@ -150,9 +150,9 @@ def local_rule(g, g_below, g_right):
 class GrowthDiagram:
     """Completed cylindrical growth diagram.
 
-    ``rows`` holds n+1 tuples; row i (1-based) lists gamma_{i,i..i+n}.
-    Build through :func:`complete_from_row`, which validates the first row;
-    every other row follows from it.
+    ``rows`` holds n+1 tuples; row i (1-based) lists gamma_{i,i..i+n}, and
+    row n+1 is row 1, since promotion has order n.  Build through
+    :func:`complete_from_row`, which validates the first row.
     """
 
     __slots__ = ("word", "rows")
@@ -259,20 +259,22 @@ def _complete(row):
     """Growth diagram of a canonical first row the library built itself.
 
     Each square's ``g_below`` lies inside its ``g`` by a vertical strip, and
-    the far end of every row is the rectangle, so nothing is checked.
+    the far end of every row is the rectangle, so nothing is checked.  Rows
+    2..n are swept; row n+1 is row 1, since promotion has order n.
     """
     word = tuple(sum(b) - sum(a) for a, b in zip(row, row[1:]))
     n = len(word)
     rect = _padded(row[-1])
     rows = [tuple(row)]
     prev = [_padded(p) for p in row]
-    for i in range(1, n + 1):
+    for i in range(1, n):
         cur = [(0, 0, 0)]
         for j in range(i + 1, i + n):
             cur.append(_local_rule3(prev[j - i], cur[-1], prev[j - i + 1]))
         cur.append(rect)
         rows.append(tuple(_unpadded(p) for p in cur))
         prev = cur
+    rows.append(rows[0])
     return GrowthDiagram(word, rows)
 
 

@@ -46,7 +46,7 @@ from .errors import (
     PreconditionViolated,
     RealizationFailed,
 )
-from .growth import _complete, _padded, _unpadded
+from .growth import _complete, _padded, _unpadded, enumerate_diagrams
 from .hulls import induced_complex, path_hull_fastpath
 from .series import DEFAULT_PRIME, GF, hermite_over_O, solve_upper_triangular
 from .webs import Diskoid, canonical_encoding, dualize
@@ -86,7 +86,7 @@ def _weight(p):
 def find_uturn(d):
     """Smallest position i whose second neighbor coincides with vertex i."""
     for i in range(1, d.n + 1):
-        if _weight(d.entry(i, i + 2)) == ZERO_WEIGHT:
+        if _weight(d.rows[i - 1][2]) == ZERO_WEIGHT:
             return i
     return None
 
@@ -94,7 +94,7 @@ def find_uturn(d):
 def find_sharp(d):
     """Smallest position i whose second neighbor is adjacent to vertex i."""
     for i in range(1, d.n + 1):
-        if _weight(d.entry(i, i + 2)) in (OMEGA1, OMEGA2):
+        if _weight(d.rows[i - 1][2]) in (OMEGA1, OMEGA2):
             return i
     return None
 
@@ -229,28 +229,30 @@ def remove_uturn(d, i):
 
     OUTPUT: the diagram of the polygon with the two edges at vertex i+1
     removed, based at the identified vertex; its length is n-2.  The first
-    row is the old row of vertex i from its second neighbor on, with the
-    full column the merged triangle contributes removed from every entry.
+    row is row i of ``d``, read in place, from its second neighbor on, with
+    the full column the merged triangle contributes removed from every entry.
     """
     if d.n <= 2:
         raise PreconditionViolated("cannot remove a U-turn from a 2-gon")
-    if _weight(d.entry(i, i + 2)) != ZERO_WEIGHT:
+    row = d.rows[(i - 1) % d.n]
+    if _weight(row[2]) != ZERO_WEIGHT:
         raise PreconditionViolated(f"no U-turn at position {i}")
-    return _complete(_less_columns(d.rebase(i).first_row))
+    return _complete(_less_columns(row))
 
 
 def remove_sharp(d, i):
     """Drop vertex i+1, connecting vertices i and i+2 directly.
 
-    The two are adjacent, so the old distances from vertex i shift over;
+    The two are adjacent, so the distances in row i of ``d`` shift over;
     the result is based at vertex i and has length n-1.  When the corner
     edges are both of type 2 the new type-1 edge carries three boxes fewer,
     so the full column recorded in gamma_{i,i+2} is stripped from every
     shifted entry.
     """
-    if _weight(d.entry(i, i + 2)) not in (OMEGA1, OMEGA2):
+    row = d.rows[(i - 1) % d.n]
+    if _weight(row[2]) not in (OMEGA1, OMEGA2):
         raise PreconditionViolated(f"no sharp corner at position {i}")
-    return _complete([()] + _less_columns(d.rebase(i).first_row))
+    return _complete([()] + _less_columns(row))
 
 
 def elbow_move(d, i):
@@ -258,17 +260,16 @@ def elbow_move(d, i):
 
     The distance from vertex i to the new corner is the flip of the old
     one between the two fundamental weights; all other vertices keep their
-    distances, so the new diagram is completed from the modified first row
-    of the diagram rebased at i.  The modified row is again a chain of
-    vertical strips, so it is completed without checks.
+    distances, so the new diagram, based at i, is completed from row i of
+    ``d``, read in place, with its second entry flipped.  The modified row
+    is again a chain of vertical strips, so it is completed without checks.
     """
-    based = d.rebase(i)
-    w1, w2 = based.word[0], based.word[1]
-    if w1 == w2:
+    s = (i - 1) % d.n
+    if d.word[s] == d.word[(s + 1) % d.n]:
         raise PreconditionViolated(f"edges at positions {i}, {i + 1} have equal type")
-    if _weight(based.entry(1, 3)) == ZERO_WEIGHT:
+    row = list(d.rows[s])
+    if _weight(row[2]) == ZERO_WEIGHT:
         raise PreconditionViolated(f"vertices {i}, {i + 2} coincide, not an elbow")
-    row = list(based.first_row)
     row[1] = (1, 1) if row[1] == (1,) else (1,)
     return _complete(row)
 
@@ -387,8 +388,6 @@ def basis_webs(word):
     Order follows :func:`~sl3webs.growth.enumerate_diagrams`, so indices
     are reproducible.
     """
-    from .growth import enumerate_diagrams
-
     return [dualize(diskoid_from_diagram(g)) for g in enumerate_diagrams(word)]
 
 

@@ -56,10 +56,14 @@ class Web:
     - ``boundary`` -- univalent vertex ids in cyclic order, basepoint first
     - ``free_loops`` -- number of closed circles carrying no vertices
 
-    ``Web(...)`` checks its input: every dart sits in exactly one rotation,
-    interior vertices are trivalent with a consistent direction sense, and
-    every connected component is a planar map (V - E + F = 2).
-    ``web_from_edges`` and ``web_from_json`` build through it.
+    Every constructor uses one dart rule: edge e's end at its source is
+    dart 2e and its end at its target is dart 2e+1.  ``Web(...)`` checks
+    its input, and is the only place a missing or repeated dart is caught:
+    every dart sits in exactly one rotation, interior vertices are
+    trivalent with a consistent direction sense, and every connected
+    component is a planar map (V - E + F = 2).  ``web_from_edges``,
+    ``web_from_json`` and ``dualize`` map edge ends to darts by the rule
+    and build through it.
     ``Web._trusted`` checks nothing; ``reduce_web`` builds one web with it
     per term, when the term's encoding first appears (the webs in between,
     and terminal webs that add to a term it holds, are not ``Web`` objects).
@@ -76,15 +80,15 @@ class Web:
 
         n_darts = 2 * len(self.src)
         vert = [None] * n_darts
-        seen = 0
         for v, r in enumerate(self.rot):
             for d in r:
-                if not 0 <= d < n_darts or vert[d] is not None:
-                    raise ValueError(f"dart {d} missing or repeated")
+                if not 0 <= d < n_darts:
+                    raise ValueError(f"dart {d} at vertex {v} is not below {n_darts}")
+                if vert[d] is not None:
+                    raise ValueError(f"dart {d} is repeated, at vertices {vert[d]} and {v}")
                 vert[d] = v
-                seen += 1
-        if seen != n_darts:
-            raise ValueError("every dart must appear in exactly one rotation")
+        if None in vert:
+            raise ValueError(f"dart {vert.index(None)} is in no rotation")
         self._vert = tuple(vert)
 
         if self.free_loops < 0:
@@ -193,35 +197,27 @@ def web_from_edges(edges, boundary, n_vertices=None, rotations=None, free_loops=
       2e at the source and 2e+1 at the target
     - ``boundary`` -- boundary vertex ids, basepoint first
     - ``rotations`` -- optional dict vertex -> list of edge ids in
-      counterclockwise order (an edge id appears once per end at the
-      vertex); defaults to edge-list incidence order
+      counterclockwise order; a vertex it does not list gets its incident
+      darts in edge order, and keys outside ``range(n_vertices)`` are ignored
+
+    A listed edge that does not end at its vertex raises ``ValueError``; a
+    missing or repeated end is caught by ``Web(...)``.
     """
     edges = [tuple(e) for e in edges]
     if n_vertices is None:
         n_vertices = max((max(e) for e in edges), default=-1) + 1
         n_vertices = max(n_vertices, max(boundary, default=-1) + 1)
-    incident = [[] for _ in range(n_vertices)]
+    rot = [[] for _ in range(n_vertices)]
     for e, (u, v) in enumerate(edges):
-        incident[u].append(2 * e)
-        incident[v].append(2 * e + 1)
-    rot = []
-    for v in range(n_vertices):
-        if rotations is None or v not in rotations:
-            rot.append(incident[v])
-            continue
-        pool = list(incident[v])
-        order = []
-        for eid in rotations[v]:
-            hit = next((d for d in pool if d // 2 == eid), None)
-            if hit is None:
-                raise ValueError(f"rotation at {v} lists edge {eid} more often than it ends there")
-            pool.remove(hit)
-            order.append(hit)
-        if pool:
-            raise ValueError(f"rotation at {v} does not cover all incident edges")
-        rot.append(order)
-    src = tuple(2 * e for e in range(len(edges)))
-    return Web(rot, src, boundary, free_loops)
+        rot[u].append(2 * e)
+        rot[v].append(2 * e + 1)
+    for v, order in (rotations or {}).items():
+        if v in range(n_vertices):
+            for e in order:
+                if e not in range(len(edges)) or v not in edges[e]:
+                    raise ValueError(f"rotation at {v} lists edge {e}, which does not end there")
+            rot[v] = [2 * e + (edges[e][0] != v) for e in order]
+    return Web(rot, range(0, 2 * len(edges), 2), boundary, free_loops)
 
 
 def boundary_word(w):
@@ -810,46 +806,24 @@ def dualize(d):
     """Web dual to a diskoid.
 
     One web vertex per triangle, one boundary leg per walk step; a web
-    edge crosses every diskoid edge.  For an arrow u -> v the web edge
-    runs from the owner of the side (v, u) to the owner of (u, v), where
-    triangles own the sides of their counterclockwise cycle and leg p owns
-    the reverse of walk step p.
+    edge crosses every diskoid edge.  Edges are numbered by the sorted
+    arrows.  For arrow e = u -> v, dart 2e is the side (v, u) and dart
+    2e+1 the side (u, v), so the web edge runs from the owner of (v, u) to
+    the owner of (u, v).  Triangles own the sides of their counterclockwise
+    cycle, in cycle order, and leg p owns the reverse of walk step p.
     """
     orient = _oriented_triangles(d)
-    tris = sorted(d.triangles)
     n = d.n
-    tri_id = {t: n + i for i, t in enumerate(tris)}
-
-    owner = {}
+    dart = {}
+    for e, (u, v) in enumerate(sorted(d.arrows)):
+        dart[(v, u)], dart[(u, v)] = 2 * e, 2 * e + 1
     walk = d.boundary_walk
-    sides = [((orient[t][i], orient[t][(i + 1) % 3]), tri_id[t]) for t in tris for i in range(3)]
-    for side, who in sides + [((walk[(p + 1) % n], walk[p]), p) for p in range(n)]:
-        if side in owner:
-            raise MalformedDiskoid(f"side {side} owned twice")
-        owner[side] = who
-
-    edges = []
-    edge_of = {}
-    for u, v in sorted(d.arrows):
-        if (u, v) not in owner or (v, u) not in owner:
-            raise MalformedDiskoid(f"edge ({u}, {v}) has an unowned side")
-        edge_of[(min(u, v), max(u, v))] = len(edges)
-        edges.append((owner[(v, u)], owner[(u, v)]))
-
-    rotations = {}
-    for t in tris:
+    rot = [[dart[(walk[(p + 1) % n], walk[p])]] for p in range(n)]
+    for t in sorted(d.triangles):
         cyc = orient[t]
-        sides = [(cyc[i], cyc[(i + 1) % 3]) for i in range(3)]
-        rotations[tri_id[t]] = [
-            edge_of[(min(a, b), max(a, b))] for a, b in sides
-        ]
+        rot.append([dart[(cyc[i], cyc[(i + 1) % 3])] for i in range(3)])
     try:
-        return web_from_edges(
-            edges,
-            boundary=tuple(range(n)),
-            n_vertices=n + len(tris),
-            rotations=rotations,
-        )
+        return Web(rot, range(0, 2 * len(d.arrows), 2), range(n))
     except ValueError as exc:
         raise MalformedDiskoid(str(exc)) from exc
 
@@ -896,13 +870,8 @@ def web_from_json(obj):
         )
     if not _ids(boundary, n):
         raise MalformedJSON(f"web field 'boundary' must hold vertex ids below {n}")
-    return web_from_edges(
-        [tuple(e) for e in edges],
-        boundary=boundary,
-        n_vertices=n,
-        rotations={v: [eid for eid, _flag in r] for v, r in enumerate(recs)},
-        free_loops=free_loops,
-    )
+    rot = [[2 * eid + flag for eid, flag in r] for r in recs]
+    return Web(rot, range(0, 2 * m, 2), boundary, free_loops)
 
 
 def diskoid_to_json(d):

@@ -17,10 +17,10 @@ from webgen import reduction_corpus
 
 import sl3webs
 from sl3webs.building import distance, lattice_to_json
-from sl3webs.cli import run
+from sl3webs.cli import derived_rng, run
 from sl3webs.growth import diagram_from_json, enumerate_diagrams
 from sl3webs.series import DEFAULT_PRIME, GF
-from sl3webs.synthesis import diskoid_from_diagram
+from sl3webs.synthesis import cross_validate, diskoid_from_diagram
 from sl3webs.webs import (
     diskoid_to_json,
     dualize,
@@ -583,11 +583,12 @@ def test_reduction_step_count_is_unchanged(monkeypatch):
 COMBINATORIAL_GUARD_SHA1 = "7c058b9395131067758355e5e5c4056988a78abf"
 
 
-def _combinatorial_transcript(capsys):
-    """Stdout of ``webs W --format json``, ``diagrams W`` and ``verify W``
-    for every type word W up to length 7, by length and then word."""
+def _combinatorial_transcript(capsys, lengths=range(1, 8)):
+    """Exit code and stdout of ``webs W --format json``, ``diagrams W`` and
+    ``verify W`` for every type word W of the given lengths (up to length 7
+    by default), by length and then word."""
     parts = []
-    for n in range(1, 8):
+    for n in lengths:
         for w in itertools.product("12", repeat=n):
             word = "".join(w)
             for argv in (("webs", word, "--format", "json"), ("diagrams", word), ("verify", word)):
@@ -599,3 +600,44 @@ def _combinatorial_transcript(capsys):
 def test_combinatorial_output_is_unchanged(capsys):
     transcript = _combinatorial_transcript(capsys)
     assert hashlib.sha1(transcript).hexdigest() == COMBINATORIAL_GUARD_SHA1
+
+
+#: SHA-1 of :func:`_combinatorial_transcript` over the 256 words of length 8.
+COMBINATORIAL_8_GUARD_SHA1 = "ff6878bf84d74cbb81888c5635ea8d9a77b325ec"
+
+
+def test_combinatorial_output_of_length_8_is_unchanged(capsys):
+    transcript = _combinatorial_transcript(capsys, lengths=[8])
+    assert hashlib.sha1(transcript).hexdigest() == COMBINATORIAL_8_GUARD_SHA1
+
+
+@pytest.mark.parametrize("fault", ["omitted", "repeated"])
+def test_reduce_names_a_missing_or_repeated_dart(capsys, tmp_path, fault):
+    d = enumerate_diagrams((1, 1, 1))[0]
+    doc = web_to_json(dualize(diskoid_from_diagram(d)))
+    rotation = next(r for r in doc["rotations"] if len(r) == 3)
+    first, second = rotation[0], rotation[1]
+    if fault == "omitted":
+        rotation.remove(second)
+        message = f"dart {2 * second[0] + second[1]} is in no rotation"
+    else:
+        rotation[1] = list(first)
+        message = f"dart {2 * first[0] + first[1]} is repeated"
+    path = tmp_path / "web.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "reduce", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_apartment_cache_holds_one_polygon_working_set(capsys, tmp_path):
+    """The octagon's ``hull --conv`` and one length-8 cross-validation use a
+    small fraction of the common-apartment cache."""
+    cache = sl3webs.building._apartment_cached
+    cache.cache_clear()
+    code, _out, _err = invoke(capsys, "hull", "--conv", octagon_polygon_file(tmp_path))
+    assert code == 0
+    rng = derived_rng(0, "verify", "12121212", 8)
+    assert cross_validate(enumerate_diagrams("12121212")[8], rng)
+    info = cache.cache_info()
+    assert 0 < info.currsize <= info.maxsize // 16

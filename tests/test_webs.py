@@ -6,6 +6,7 @@ import pytest
 from fixtures import (
     bigon_web,
     hexagon_tripods_diskoid,
+    octagon_classes,
     octagon_wheel_diskoid,
     square_basis_webs,
     square_web,
@@ -20,7 +21,11 @@ from hypothesis import strategies as st
 from webgen import insert_bigon, insert_square, random_elliptic, reduction_corpus
 
 from sl3webs import basis_webs, webs
+from sl3webs.building import OMEGA1, distance
 from sl3webs.errors import InvariantViolated, MalformedDiskoid
+from sl3webs.growth import enumerate_diagrams
+from sl3webs.hulls import induced_complex, path_hull_fastpath
+from sl3webs.synthesis import diskoid_from_diagram
 from sl3webs.webs import (
     Diskoid,
     Web,
@@ -688,3 +693,199 @@ def test_state_encoding_matches_its_web(monkeypatch):
         reduce_web(w)
         reduce_web(w, random.Random(i))
     assert len(terminal) > len(set(terminal))
+
+
+# -- edge-id constructors, kept as oracles for the dart rule -----------------
+# ``pool_web_from_edges`` finds each listed edge's dart by searching the
+# vertex's incident darts; ``edge_list_dualize`` builds an edge list and
+# edge-id rotations and goes through it.
+
+
+def pool_web_from_edges(edges, boundary, n_vertices=None, rotations=None, free_loops=0):
+    """Convenience constructor from a directed edge list.
+
+    INPUT:
+
+    - ``edges`` -- list of (source, target) vertex pairs; edge e gets darts
+      2e at the source and 2e+1 at the target
+    - ``boundary`` -- boundary vertex ids, basepoint first
+    - ``rotations`` -- optional dict vertex -> list of edge ids in
+      counterclockwise order (an edge id appears once per end at the
+      vertex); defaults to edge-list incidence order
+    """
+    edges = [tuple(e) for e in edges]
+    if n_vertices is None:
+        n_vertices = max((max(e) for e in edges), default=-1) + 1
+        n_vertices = max(n_vertices, max(boundary, default=-1) + 1)
+    incident = [[] for _ in range(n_vertices)]
+    for e, (u, v) in enumerate(edges):
+        incident[u].append(2 * e)
+        incident[v].append(2 * e + 1)
+    rot = []
+    for v in range(n_vertices):
+        if rotations is None or v not in rotations:
+            rot.append(incident[v])
+            continue
+        pool = list(incident[v])
+        order = []
+        for eid in rotations[v]:
+            hit = next((d for d in pool if d // 2 == eid), None)
+            if hit is None:
+                raise ValueError(f"rotation at {v} lists edge {eid} more often than it ends there")
+            pool.remove(hit)
+            order.append(hit)
+        if pool:
+            raise ValueError(f"rotation at {v} does not cover all incident edges")
+        rot.append(order)
+    src = tuple(2 * e for e in range(len(edges)))
+    return Web(rot, src, boundary, free_loops)
+
+
+def edge_list_dualize(d):
+    """Web dual to a diskoid.
+
+    One web vertex per triangle, one boundary leg per walk step; a web
+    edge crosses every diskoid edge.  For an arrow u -> v the web edge
+    runs from the owner of the side (v, u) to the owner of (u, v), where
+    triangles own the sides of their counterclockwise cycle and leg p owns
+    the reverse of walk step p.
+    """
+    orient = webs._oriented_triangles(d)
+    tris = sorted(d.triangles)
+    n = d.n
+    tri_id = {t: n + i for i, t in enumerate(tris)}
+
+    owner = {}
+    walk = d.boundary_walk
+    sides = [((orient[t][i], orient[t][(i + 1) % 3]), tri_id[t]) for t in tris for i in range(3)]
+    for side, who in sides + [((walk[(p + 1) % n], walk[p]), p) for p in range(n)]:
+        if side in owner:
+            raise MalformedDiskoid(f"side {side} owned twice")
+        owner[side] = who
+
+    edges = []
+    edge_of = {}
+    for u, v in sorted(d.arrows):
+        if (u, v) not in owner or (v, u) not in owner:
+            raise MalformedDiskoid(f"edge ({u}, {v}) has an unowned side")
+        edge_of[(min(u, v), max(u, v))] = len(edges)
+        edges.append((owner[(v, u)], owner[(u, v)]))
+
+    rotations = {}
+    for t in tris:
+        cyc = orient[t]
+        sides = [(cyc[i], cyc[(i + 1) % 3]) for i in range(3)]
+        rotations[tri_id[t]] = [
+            edge_of[(min(a, b), max(a, b))] for a, b in sides
+        ]
+    try:
+        return pool_web_from_edges(
+            edges,
+            boundary=tuple(range(n)),
+            n_vertices=n + len(tris),
+            rotations=rotations,
+        )
+    except ValueError as exc:
+        raise MalformedDiskoid(str(exc)) from exc
+
+
+def _same_web(a, b):
+    return (a.rot, a.src, a.boundary, a.free_loops) == (b.rot, b.src, b.boundary, b.free_loops)
+
+
+def _pool_web_from_json(obj):
+    """The JSON route through the pool search: edge-id rotations."""
+    rotations = {v: [eid for eid, _flag in r] for v, r in enumerate(obj["rotations"])}
+    return pool_web_from_edges(
+        [tuple(e) for e in obj["edges"]],
+        boundary=obj["boundary"],
+        n_vertices=len(obj["rotations"]),
+        rotations=rotations,
+        free_loops=obj["free_loops"],
+    )
+
+
+def octagon_hull_diskoid():
+    """The octagon's hull complex read as a diskoid, as ``cross_validate`` reads it."""
+    L = octagon_classes()
+    path = [L[i] for i in range(1, 9)]
+    cx = induced_complex(path_hull_fastpath(path))
+    index_of = {v: k for k, v in enumerate(cx.vertices)}
+    arrows = [
+        (i, j) if distance(cx.vertices[i], cx.vertices[j]) == OMEGA1 else (j, i)
+        for i, j in cx.edges
+    ]
+    return Diskoid(len(cx.vertices), arrows, cx.triangles, [index_of[c] for c in path])
+
+
+def fixture_webs():
+    return [
+        strand_web(1),
+        strand_web(2),
+        bigon_web(),
+        theta_web(),
+        square_web(),
+        *square_basis_webs(),
+    ]
+
+
+def fixture_diskoids():
+    return [
+        octagon_wheel_diskoid(),
+        square_wheel_diskoid(),
+        triangle_diskoid(),
+        two_gon_diskoid(),
+        hexagon_tripods_diskoid(),
+        octagon_hull_diskoid(),
+    ]
+
+
+def test_dart_rule_matches_the_edge_list_oracles():
+    basis = 0
+    for n in range(1, 9):
+        for word in itertools.product((1, 2), repeat=n):
+            for g in enumerate_diagrams(word):
+                d = diskoid_from_diagram(g)
+                assert _same_web(dualize(d), edge_list_dualize(d))
+                basis += 1
+    assert basis == 2584
+    for d in fixture_diskoids():
+        assert _same_web(dualize(d), edge_list_dualize(d))
+    assert octagon_hull_diskoid().n_vertices > 8
+    webs_ = reduction_corpus() + fixture_webs() + [dualize(d) for d in fixture_diskoids()]
+    for w in webs_:
+        obj = web_to_json(w)
+        assert _same_web(web_from_json(obj), _pool_web_from_json(obj))
+        assert _same_web(web_from_json(obj), w)
+
+
+def test_rotation_listing_an_edge_that_does_not_end_there():
+    # edge 1 runs 5 -> 1 and does not end at vertex 4
+    edges = [(0, 4), (5, 1), (2, 6), (7, 3), (5, 4), (5, 6), (7, 6), (7, 4)]
+    with pytest.raises(ValueError, match="lists edge 1, which does not end there"):
+        web_from_edges(edges, boundary=(0, 1, 2, 3), rotations={4: [0, 4, 1]})
+    with pytest.raises(ValueError, match="lists edge 8, which does not end there"):
+        web_from_edges(edges, boundary=(0, 1, 2, 3), rotations={4: [0, 4, 8]})
+
+
+def test_rotation_keys_outside_the_vertices_are_ignored():
+    got = web_from_edges([(0, 1)], boundary=(0, 1), rotations={2: [0], 7: [5, 5]})
+    assert _same_web(got, strand_web())
+    got = web_from_edges(
+        [(0, 1)], boundary=(0, 1), n_vertices=2, rotations={2: [0], 0: [0]}
+    )
+    assert _same_web(got, strand_web())
+
+
+def test_missing_or_repeated_darts_are_named_by_web():
+    with pytest.raises(ValueError, match="dart 1 is in no rotation"):
+        Web([[0], []], [0], (0, 1))
+    with pytest.raises(ValueError, match="dart 0 is repeated, at vertices 0 and 1"):
+        Web([[0], [0, 1]], [0], (0, 1))
+    with pytest.raises(ValueError, match="dart 2 at vertex 1 is not below 2"):
+        Web([[0], [2]], [0], (0, 1))
+    # a rotation that omits an edge end, or lists an edge twice, is Web's to reject
+    with pytest.raises(ValueError, match="dart 2 is in no rotation"):
+        web_from_edges([(0, 2), (2, 1)], boundary=(0, 1), rotations={2: [0]})
+    with pytest.raises(ValueError, match="dart 1 is repeated"):
+        web_from_edges([(0, 2), (2, 1)], boundary=(0, 1), rotations={2: [0, 0, 1]})
