@@ -179,23 +179,14 @@ def lattice_contains(basis, vec):
 
 
 def lattice_dual(mat):
-    """Canonical basis of the dual lattice {v : <v, L> in O}."""
-    h = mat if _is_canonical_shape(mat) else hermite_over_O(mat)
+    """Canonical basis of the dual lattice {v : <v, L> in O}, from generators
+    put in Hermite form on entry."""
+    return _dual(hermite_over_O(mat))
+
+
+def _dual(h):
+    """:func:`lattice_dual` of a canonical basis ``h``."""
     return hermite_over_O(invert_upper_triangular(h).transpose())
-
-
-def _is_canonical_shape(mat):
-    if mat.nrows != 3 or mat.ncols != 3:
-        return False
-    for i in range(3):
-        for j in range(3):
-            f = mat.entry(i, j)
-            if i == j:
-                if len(f.terms) != 1 or list(f.terms.values())[0] != 1:
-                    return False
-            elif i > j and not f.is_zero():
-                return False
-    return True
 
 
 def lattice_join(a, b):
@@ -204,11 +195,14 @@ def lattice_join(a, b):
 
 
 def lattice_meet(a, b):
-    """Canonical basis of the intersection L_a meet L_b (representative level).
+    """Canonical basis of the intersection L_a meet L_b (representative level),
+    from generator sets put in Hermite form on entry."""
+    return _meet(hermite_over_O(a), hermite_over_O(b))
 
-    Read off the common apartment of the two lattices: ``<t^max(0, e_i) g_i>``.
-    """
-    a, b = (m if _is_canonical_shape(m) else hermite_over_O(m) for m in (a, b))
+
+def _meet(a, b):
+    """:func:`lattice_meet` of canonical bases, read off their common apartment:
+    ``<t^max(0, e_i) g_i>``."""
     return hermite_over_O(apartment_lattice(common_apartment(a, b), 0, max))
 
 
@@ -219,7 +213,7 @@ def join(x, y):
 
 def meet(x, y):
     """Class-level intersection, computed on the canonical scale-normalized bases."""
-    return _normalized_class(lattice_meet(x.basis, y.basis))
+    return _normalized_class(_meet(x.basis, y.basis))
 
 
 def common_apartment(a, b):
@@ -359,7 +353,7 @@ def step_to_plane(x, covector):
     for i in range(3):
         if i == pivot:
             continue
-        ratio = field.neg(field.mul(covector[i], inv))
+        ratio = field.normalize(-covector[i] * inv)
         gen = [a + b.scale(ratio) for a, b in zip(cols[i], cols[pivot])]
         gens.append(gen)
     gens += [[f.shift(1) for f in col] for col in cols]
@@ -415,7 +409,7 @@ def lattice_from_json(obj):
             raise ValueError("a lattice needs columns of 3 entries each")
         cols = [[LaurentScalar.from_json(field, t) for t in col] for col in cols]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise MalformedJSON(f"lattice field 'columns' is malformed: {exc!r}") from exc
+        raise MalformedJSON(f"lattice field 'columns' is malformed: {exc}") from exc
     return LaurentMatrix.from_columns(field, cols)
 
 

@@ -14,7 +14,8 @@ Pieri rules.
 
 from itertools import combinations
 
-from .errors import InvalidChain, NotAPartitionAfterSort, NotVerticalStrip, json_fields
+from .errors import InvalidChain, MalformedJSON, NotAPartitionAfterSort, NotVerticalStrip
+from .errors import json_fields
 
 __all__ = [
     "GrowthDiagram",
@@ -216,6 +217,8 @@ class GrowthDiagram:
 
 def diagram_from_json(obj):
     text, first_row = json_fields(obj, "growth diagram", word=str, first_row=list)
+    if not all(isinstance(p, list) and all(type(x) is int for x in p) for p in first_row):
+        raise MalformedJSON("growth diagram field 'first_row' must hold lists of integers")
     d = complete_from_row(first_row)
     if d.word != parse_word(text):
         raise InvalidChain(f"first row has type {''.join(map(str, d.word))}, not {text}")

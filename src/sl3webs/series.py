@@ -24,6 +24,7 @@ trusted and wrapped by ``LaurentScalar._trusted`` without a second pass.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from fractions import Fraction
 from itertools import combinations
 from math import inf
@@ -63,7 +64,8 @@ class CoefficientField:
 
     Coefficients are stored as ``fractions.Fraction`` over Q and as ints in
     ``range(p)`` over F_p.  Instances compare equal by characteristic, so a
-    field object can be carried around freely as a tag.
+    field object can be carried around freely as a tag.  Constants are
+    combined with plain ``+ - *``; :meth:`normalize` is the one reduction.
     """
 
     __slots__ = ("p",)
@@ -80,18 +82,6 @@ class CoefficientField:
             return c if isinstance(c, Fraction) else Fraction(c)
         return c % self.p
 
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
     def inv(self, a):
         if self.p is None:
             if a == 0:
@@ -105,12 +95,14 @@ class CoefficientField:
         return str(c) if self.p is None else int(c)
 
     def coeff_from_json(self, obj):
+        """A Laurent term's ``c``: a rational as a string or an int over Q, an int over F_p."""
         if self.p is None:
-            if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-                raise MalformedJSON(f"Q coefficient must be a string or an int, got {obj!r}")
-            return Fraction(obj)
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            raise MalformedJSON(f"F_p coefficient must be an int, got {obj!r}")
+            if type(obj) in (int, str):
+                with suppress(ValueError, ZeroDivisionError):
+                    return Fraction(obj)
+            raise MalformedJSON(f"Q coefficient 'c' must be a rational string or int, got {obj!r}")
+        if type(obj) is not int:
+            raise MalformedJSON(f"F_p coefficient 'c' must be an int, got {obj!r}")
         return obj % self.p
 
     def __eq__(self, other):
@@ -145,7 +137,7 @@ class LaurentScalar:
     Instances are treated as immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("field", "terms", "_hash")
+    __slots__ = ("field", "terms")
 
     def __init__(self, field, terms):
         clean = {}
@@ -155,7 +147,6 @@ class LaurentScalar:
                 clean[int(e)] = c
         self.field = field
         self.terms = clean
-        self._hash = None
 
     @classmethod
     def _trusted(cls, field, terms):
@@ -163,7 +154,6 @@ class LaurentScalar:
         scalar = object.__new__(cls)
         scalar.field = field
         scalar.terms = terms
-        scalar._hash = None
         return scalar
 
     @classmethod
@@ -223,9 +213,7 @@ class LaurentScalar:
         return _reduced(self.field, out)
 
     def scale(self, c):
-        f = self.field
-        c = f.normalize(c)
-        return LaurentScalar(f, {e: f.mul(a, c) for e, a in self.terms.items()})
+        return _reduced(self.field, {e: a * c for e, a in self.terms.items()})
 
     def shift(self, k):
         """Multiply by ``t^k``."""
@@ -260,9 +248,7 @@ class LaurentScalar:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, tuple(sorted(self.terms.items()))))
-        return self._hash
+        return hash((self.field, self.key()))
 
     def key(self):
         """A sortable, hashable encoding of the scalar."""
@@ -284,6 +270,10 @@ class LaurentScalar:
         terms = {}
         for t in obj:
             (e,) = json_fields(t, "Laurent term", e=int)
+            if e in terms:
+                raise MalformedJSON(f"Laurent term field 'e' repeats the exponent {e}")
+            if "c" not in t:
+                raise MalformedJSON("Laurent term has no field 'c'")
             terms[e] = field.coeff_from_json(t["c"])
         return cls(field, terms)
 

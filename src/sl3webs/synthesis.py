@@ -27,13 +27,13 @@ from .building import (
     OMEGA2,
     ZERO_WEIGHT,
     LatticeClass,
+    _dual,
     _normalized_class,
     _sample_coeff,
     apartment_lattice,
     class_apartment,
     distance,
     dual_weight,
-    lattice_dual,
     letter_weight,
     random_step,
     step_to_line,
@@ -395,29 +395,27 @@ def basis_webs(word):
 
 
 def _echelon(field, vectors):
-    """Row echelon basis of a span of residue vectors, as (pivot, row) pairs."""
+    """Row echelon basis of a span of normalized residue vectors, as (pivot, row) pairs."""
     rows = []
     for v in vectors:
-        v = [field.normalize(c) for c in v]
         for p, r in rows:
             c = v[p]
             if c != 0:
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, r)]
+                v = [field.normalize(a - c * b) for a, b in zip(v, r)]
         piv = next((j for j, c in enumerate(v) if c != 0), None)
         if piv is None:
             continue
         inv = field.inv(v[piv])
-        rows.append((piv, [field.mul(inv, c) for c in v]))
+        rows.append((piv, [field.normalize(inv * c) for c in v]))
         rows.sort()
     return rows
 
 
 def _in_span(field, rows, v):
-    v = [field.normalize(c) for c in v]
     for p, r in rows:
         c = v[p]
         if c != 0:
-            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, r)]
+            v = [field.normalize(a - c * b) for a, b in zip(v, r)]
     return all(c == 0 for c in v)
 
 
@@ -427,7 +425,7 @@ def _stratum_sample(field, rng, big, small, tries=64):
         v = [field.normalize(0)] * 3
         for c, (_p, r) in zip(coeffs, big):
             if c != 0:
-                v = [field.add(a, field.mul(c, b)) for a, b in zip(v, r)]
+                v = [field.normalize(a + c * b) for a, b in zip(v, r)]
         if any(c != 0 for c in v) and not _in_span(field, small, v):
             return v
     return None
@@ -467,7 +465,7 @@ def _conditioned_line(x, anchor, target, rng):
 
 
 def _dual_class(x):
-    return _normalized_class(lattice_dual(x.basis))
+    return _normalized_class(_dual(x.basis))
 
 
 def conditioned_step(x, letter, anchor, target, rng):

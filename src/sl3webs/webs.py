@@ -636,10 +636,12 @@ class Diskoid:
 
     Raises :class:`MalformedDiskoid` when the data is not a disk-shaped
     complex (triangle patches and pendant edges glued into a contractible
-    whole).
+    whole).  It is oriented when built: ``cycles`` maps each triangle to
+    its counterclockwise vertex cycle, from :func:`_oriented_triangles`.
     """
 
-    __slots__ = ("n_vertices", "arrows", "edges", "triangles", "boundary_walk", "labels")
+    __slots__ = ("n_vertices", "arrows", "edges", "triangles", "boundary_walk", "labels",
+                 "cycles")
 
     def __init__(self, n_vertices, arrows, triangles, boundary_walk, labels=None):
         self.n_vertices = int(n_vertices)
@@ -663,16 +665,16 @@ class Diskoid:
         self.edges = frozenset(edges)
         arrow_set = set(self.arrows)
 
-        tri_count = {e: 0 for e in self.edges}
+        sides = {}  # directed side -> the triangles it is a side of
         for t in self.triangles:
             a, b, c = t
             if len({a, b, c}) != 3:
                 raise MalformedDiskoid(f"degenerate triangle {t}")
-            sides = [(a, b), (b, c), (a, c)]
-            for x, y in sides:
+            for x, y in ((a, b), (b, c), (a, c)):
                 if (x, y) not in self.edges:
                     raise MalformedDiskoid(f"triangle {t} uses missing edge ({x}, {y})")
-                tri_count[(x, y)] += 1
+                sides.setdefault((x, y), []).append(t)
+                sides.setdefault((y, x), []).append(t)
             cyc = [p for p in ((a, b), (b, c), (c, a)) if p in arrow_set]
             anti = [p for p in ((b, a), (c, b), (a, c)) if p in arrow_set]
             if not (len(cyc) == 3 or len(anti) == 3):
@@ -689,7 +691,7 @@ class Diskoid:
                 raise MalformedDiskoid(f"walk step ({u}, {v}) is not an edge")
             crossings[e].append((u, v))
         for e in self.edges:
-            t = tri_count[e]
+            t = len(sides.get(e, ()))
             c = crossings[e]
             if t > 2:
                 raise MalformedDiskoid(f"edge {e} lies in {t} triangles")
@@ -715,6 +717,7 @@ class Diskoid:
                     stack.append(u)
         if len(seen) != self.n_vertices:
             raise MalformedDiskoid("1-skeleton is disconnected")
+        self.cycles = _oriented_triangles(self, sides)
 
     @property
     def n(self):
@@ -753,25 +756,20 @@ def _rotations(cyc):
     return {cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2]}
 
 
-def _oriented_triangles(d):
+def _oriented_triangles(d, sides):
     """Counterclockwise vertex order per triangle, seeded from the walk.
 
     The walk runs counterclockwise, so the triangle on a boundary edge
     contains that walk step in its own counterclockwise cycle; neighbors
-    across an interior edge traverse it oppositely.
+    across an interior edge traverse it oppositely.  ``sides`` is the map
+    from directed sides to triangles that :class:`Diskoid` builds and checks.
     """
-    side_owner_tri = {}
-    for t in d.triangles:
-        for x, y in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
-            side_owner_tri.setdefault((x, y), []).append(t)
-            side_owner_tri.setdefault((y, x), []).append(t)
-
     orient = {}
     queue = []
     walk = d.boundary_walk
     for p in range(len(walk)):
         u, v = walk[p], walk[(p + 1) % len(walk)]
-        tris = set(side_owner_tri.get((u, v), ()))
+        tris = set(sides.get((u, v), ()))
         if not tris:
             continue
         (t,) = tris
@@ -787,7 +785,7 @@ def _oriented_triangles(d):
         cyc = orient[t]
         for i in range(3):
             a, b = cyc[i], cyc[(i + 1) % 3]
-            for t2 in side_owner_tri[(a, b)]:
+            for t2 in sides[(a, b)]:
                 if t2 == t:
                     continue
                 x = next(z for z in t2 if z not in (a, b))
@@ -809,10 +807,9 @@ def dualize(d):
     edge crosses every diskoid edge.  Edges are numbered by the sorted
     arrows.  For arrow e = u -> v, dart 2e is the side (v, u) and dart
     2e+1 the side (u, v), so the web edge runs from the owner of (v, u) to
-    the owner of (u, v).  Triangles own the sides of their counterclockwise
-    cycle, in cycle order, and leg p owns the reverse of walk step p.
+    the owner of (u, v).  Triangles own the sides of their stored cycles,
+    in cycle order, and leg p owns the reverse of walk step p.
     """
-    orient = _oriented_triangles(d)
     n = d.n
     dart = {}
     for e, (u, v) in enumerate(sorted(d.arrows)):
@@ -820,7 +817,7 @@ def dualize(d):
     walk = d.boundary_walk
     rot = [[dart[(walk[(p + 1) % n], walk[p])]] for p in range(n)]
     for t in sorted(d.triangles):
-        cyc = orient[t]
+        cyc = d.cycles[t]
         rot.append([dart[(cyc[i], cyc[(i + 1) % 3])] for i in range(3)])
     try:
         return Web(rot, range(0, 2 * len(d.arrows), 2), range(n))

@@ -180,6 +180,45 @@ def hexagon_tripods_diskoid():
     return Diskoid(11, arrows, triangles, walk)
 
 
+def unorientable_diskoid_docs():
+    """Diskoid JSON documents that pass every check on the complex and the
+    walk but cannot be oriented from the walk, with the error each raises."""
+    # an octahedron on 2..7 (top 2, bottom 7, equator 3 4 5 6), faces
+    # alternately cw and ccw, wedged at vertex 2 onto a walked triangle
+    octahedron = [
+        (2, 3), (3, 4), (4, 2), (2, 5), (5, 6), (6, 2),
+        (7, 5), (5, 4), (4, 7), (7, 3), (3, 6), (6, 7),
+    ]
+    faces = [(2, 3, 4), (2, 4, 5), (2, 5, 6), (2, 6, 3), (7, 4, 3), (7, 5, 4), (7, 6, 5), (7, 3, 6)]
+    wedge = {
+        "n_vertices": 8,
+        "arrows": [[0, 1], [1, 2], [2, 0]] + [list(a) for a in octahedron],
+        "triangles": [[0, 1, 2]] + [list(t) for t in faces],
+        "boundary_walk": [0, 1, 2],
+    }
+    # a Moebius band of five triangles; its arrows make each one a directed 3-cycle
+    mobius = {
+        "n_vertices": 5,
+        "arrows": [
+            [0, 1], [2, 0], [0, 3], [4, 0], [1, 2], [3, 1], [1, 4], [2, 3], [4, 2], [3, 4],
+        ],
+        "triangles": [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]],
+        "boundary_walk": [0, 2, 4, 1, 3],
+    }
+    # the walk crosses sides 01 and 21 of triangle 012 both into vertex 1
+    crossed = {
+        "n_vertices": 5,
+        "arrows": [[0, 1], [1, 2], [2, 0], [0, 3], [3, 2], [1, 3], [3, 4], [4, 1]],
+        "triangles": [[0, 1, 2], [0, 2, 3], [1, 3, 4]],
+        "boundary_walk": [0, 1, 3, 2, 1, 4, 3],
+    }
+    return {
+        "octahedron_wedge": (wedge, "triangle patch not reachable from the boundary walk"),
+        "mobius_band": (mobius, "triangles (0, 3, 4) and (0, 1, 4) disagree"),
+        "walk_crossing": (crossed, "triangle (0, 1, 2) orientation conflict at the walk"),
+    }
+
+
 def strand_web(letter=1):
     """One edge between two boundary vertices; type (1, 2) or (2, 1)."""
     from sl3webs.webs import web_from_edges

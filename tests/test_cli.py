@@ -10,7 +10,7 @@ import random
 import sys
 
 import pytest
-from fixtures import octagon_classes, square_web, theta_web
+from fixtures import octagon_classes, square_web, theta_web, unorientable_diskoid_docs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from webgen import reduction_corpus
@@ -474,6 +474,55 @@ def test_moduli_at_or_above_2_64_are_refused(capsys, tmp_path):
     code, out, err = invoke(capsys, "realize", "1212", "--component", "0", "--p", str(mersenne61))
     assert code == 0 and err == ""
     assert all(obj["p"] == mersenne61 for obj in json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "first_row",
+    [
+        [[], [1.7], [1, 1, 1]],
+        [[], [1], "111"],
+        [[], {"1": 0}, [1, 1, 1]],
+        [[], [True], [1, 1, 1]],
+        [[], [1], ["1", 1, 1]],
+    ],
+    ids=["float", "string", "object", "bool", "string-part"],
+)
+def test_promote_refuses_parts_that_are_not_json_integers(capsys, tmp_path, first_row):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps({"word": "12", "first_row": first_row}))
+    code, out, err = invoke(capsys, "promote", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "'first_row'" in err
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([{"e": 0, "c": "1"}, {"e": 0, "c": "-1"}], "field 'e' repeats the exponent 0"),
+        ([{"e": 0}], "no field 'c'"),
+        ([{"e": 0, "c": "1/0"}], "'c' must be a rational string or int, got '1/0'"),
+        ([{"e": 0, "c": "nan"}], "'c' must be a rational string or int, got 'nan'"),
+    ],
+    ids=["repeated", "missing", "zero-denominator", "nan"],
+)
+def test_laurent_term_faults_name_the_field(capsys, tmp_path, terms, message):
+    lattice = standard_lattice(Q_FIELD, "1")
+    lattice["columns"][0][0] = terms
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps([lattice]))
+    code, out, err = invoke(capsys, "distance", str(path), "0", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err and "Error(" not in err
+
+
+@pytest.mark.parametrize("name", sorted(unorientable_diskoid_docs()))
+def test_dualize_refuses_an_unorientable_diskoid(capsys, tmp_path, name):
+    doc, message = unorientable_diskoid_docs()[name]
+    path = tmp_path / "diskoid.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "dualize", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 def test_verify_prints_a_line_per_component(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from fixtures import (
@@ -15,6 +16,7 @@ from fixtures import (
     theta_web,
     triangle_diskoid,
     two_gon_diskoid,
+    unorientable_diskoid_docs,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -698,7 +700,62 @@ def test_state_encoding_matches_its_web(monkeypatch):
 # -- edge-id constructors, kept as oracles for the dart rule -----------------
 # ``pool_web_from_edges`` finds each listed edge's dart by searching the
 # vertex's incident darts; ``edge_list_dualize`` builds an edge list and
-# edge-id rotations and goes through it.
+# edge-id rotations and goes through it, orienting the triangles with
+# ``_oriented_triangles``, the orientation pass as ``dualize`` once ran it,
+# on a side map of its own.
+
+
+def _rotations(cyc):
+    return {cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2]}
+
+
+def _oriented_triangles(d):
+    """Counterclockwise vertex order per triangle, seeded from the walk.
+
+    The walk runs counterclockwise, so the triangle on a boundary edge
+    contains that walk step in its own counterclockwise cycle; neighbors
+    across an interior edge traverse it oppositely.
+    """
+    side_owner_tri = {}
+    for t in d.triangles:
+        for x, y in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
+            side_owner_tri.setdefault((x, y), []).append(t)
+            side_owner_tri.setdefault((y, x), []).append(t)
+
+    orient = {}
+    queue = []
+    walk = d.boundary_walk
+    for p in range(len(walk)):
+        u, v = walk[p], walk[(p + 1) % len(walk)]
+        tris = set(side_owner_tri.get((u, v), ()))
+        if not tris:
+            continue
+        (t,) = tris
+        x = next(z for z in t if z not in (u, v))
+        cyc = (u, v, x)
+        if t not in orient:
+            orient[t] = cyc
+            queue.append(t)
+        elif orient[t] not in _rotations(cyc):
+            raise MalformedDiskoid(f"triangle {t} orientation conflict at the walk")
+    while queue:
+        t = queue.pop()
+        cyc = orient[t]
+        for i in range(3):
+            a, b = cyc[i], cyc[(i + 1) % 3]
+            for t2 in side_owner_tri[(a, b)]:
+                if t2 == t:
+                    continue
+                x = next(z for z in t2 if z not in (a, b))
+                cyc2 = (b, a, x)
+                if t2 not in orient:
+                    orient[t2] = cyc2
+                    queue.append(t2)
+                elif orient[t2] not in _rotations(cyc2):
+                    raise MalformedDiskoid(f"triangles {t} and {t2} disagree")
+    if len(orient) != len(d.triangles):
+        raise MalformedDiskoid("triangle patch not reachable from the boundary walk")
+    return orient
 
 
 def pool_web_from_edges(edges, boundary, n_vertices=None, rotations=None, free_loops=0):
@@ -750,7 +807,7 @@ def edge_list_dualize(d):
     triangles own the sides of their counterclockwise cycle and leg p owns
     the reverse of walk step p.
     """
-    orient = webs._oriented_triangles(d)
+    orient = _oriented_triangles(d)
     tris = sorted(d.triangles)
     n = d.n
     tri_id = {t: n + i for i, t in enumerate(tris)}
@@ -857,6 +914,31 @@ def test_dart_rule_matches_the_edge_list_oracles():
         obj = web_to_json(w)
         assert _same_web(web_from_json(obj), _pool_web_from_json(obj))
         assert _same_web(web_from_json(obj), w)
+
+
+def test_stored_cycles_match_the_orientation_oracle():
+    """The cycles a diskoid stores when built are the ones the orientation
+    pass once computed inside ``dualize``, first vertex included."""
+    count = 0
+    for n in range(1, 9):
+        for word in itertools.product((1, 2), repeat=n):
+            for g in enumerate_diagrams(word):
+                d = diskoid_from_diagram(g)
+                assert d.cycles == _oriented_triangles(d)
+                count += 1
+    assert count == 2584
+    for d in fixture_diskoids():
+        assert d.cycles == _oriented_triangles(d)
+
+
+@pytest.mark.parametrize("name", sorted(unorientable_diskoid_docs()))
+def test_unorientable_diskoid_is_refused_when_built(name):
+    doc, message = unorientable_diskoid_docs()[name]
+    args = (doc["n_vertices"], doc["arrows"], doc["triangles"], doc["boundary_walk"])
+    with pytest.raises(MalformedDiskoid, match=re.escape(message)):
+        Diskoid(*args)
+    with pytest.raises(MalformedDiskoid, match=re.escape(message)):
+        diskoid_from_json(doc)
 
 
 def test_rotation_listing_an_edge_that_does_not_end_there():
