@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 from .errors import InvariantViolated, MalformedJSON, PreconditionViolated, json_fields
 from .series import (
@@ -34,6 +35,7 @@ from .series import (
     CoefficientField,
     LaurentMatrix,
     LaurentScalar,
+    _reduce_above_diagonal,
     hermite_over_O,
     invert_upper_triangular,
     smith_form,
@@ -185,8 +187,8 @@ def lattice_dual(mat):
 
 
 def _dual(h):
-    """:func:`lattice_dual` of a canonical basis ``h``."""
-    return hermite_over_O(invert_upper_triangular(h).transpose())
+    """:func:`lattice_dual` of a canonical basis ``h``; ``val det h^-T = -val det h``."""
+    return hermite_over_O(invert_upper_triangular(h).transpose(), -_det_val(h))
 
 
 def lattice_join(a, b):
@@ -203,12 +205,12 @@ def lattice_meet(a, b):
 def _meet(a, b):
     """:func:`lattice_meet` of canonical bases, read off their common apartment:
     ``<t^max(0, e_i) g_i>``."""
-    return hermite_over_O(apartment_lattice(common_apartment(a, b), 0, max))
+    return _apartment_form(a, common_apartment(a, b), 0, max)
 
 
 def join(x, y):
-    """Class-level sum, computed on the canonical scale-normalized bases."""
-    return _normalized_class(lattice_join(x.basis, y.basis))
+    """Class-level sum of the canonical bases, ``x.basis``' columns first."""
+    return _normalized_class(hermite_over_O(x.basis.hstack(y.basis), _det_val(x.basis)))
 
 
 def meet(x, y):
@@ -226,9 +228,13 @@ def common_apartment(a, b):
     """
     cols = [solve_upper_triangular(a, col) for col in b.columns()]
     rel = LaurentMatrix.from_columns(a.field, cols)
-    dval = sum(b.entry(i, i).val() - a.entry(i, i).val() for i in range(3))
-    exps, w = smith_form(rel, dval)
+    exps, w = smith_form(rel, _det_val(b) - _det_val(a))
     return exps, a * w
+
+
+def _det_val(h):
+    """``val det`` of a canonical basis, read off its diagonal."""
+    return sum(h.entry(i, i).val() for i in range(3))
 
 
 # one polygon's hull reaches at most ~150 pairs; 4,096 entries hold ~18 MiB
@@ -263,6 +269,13 @@ def apartment_lattice(apartment, a, bound):
     )
 
 
+def _apartment_form(basis, apartment, a, bound):
+    """Hermite form of :func:`apartment_lattice`.  The ``g_i`` span ``L_x``, whose canonical
+    basis is ``basis``, so its ``val det`` is ``_det_val(basis) + sum bound(0, a + e_i)``."""
+    det_val = _det_val(basis) + sum(bound(0, a + e) for e in apartment[0])
+    return hermite_over_O(apartment_lattice(apartment, a, bound), det_val)
+
+
 def pair_chain(x, z, bound):
     """Distinct classes of :func:`apartment_lattice` from ``x`` to ``z``: meets for
     increasing ``a`` (``bound=max``), sums for decreasing ``a`` (``bound=min``).
@@ -275,7 +288,7 @@ def pair_chain(x, z, bound):
     apartment = class_apartment(x, z)
     lo, hi = -apartment[0][2], -apartment[0][0]
     shifts = range(lo + 1, hi) if bound is max else range(hi - 1, lo, -1)
-    inner = [class_from_generators(apartment_lattice(apartment, a, bound)) for a in shifts]
+    inner = [_normalized_class(_apartment_form(x.basis, apartment, a, bound)) for a in shifts]
     return [x] + inner + [z]
 
 
@@ -323,41 +336,52 @@ def _sample_nonzero_vector(field, rng, length=3):
             return v
 
 
+def _residue_coords(field, coeffs):
+    """Residue coordinates reduced into ``field``, and the indices of the nonzero ones."""
+    coeffs = [field.normalize(c) for c in coeffs]
+    support = [j for j in range(3) if coeffs[j] != 0]
+    if not support:
+        raise PreconditionViolated("residue coordinates must not all be zero")
+    return coeffs, support
+
+
 def step_to_line(x, coeffs):
     """The omega_1-neighbor spanned by the residue line with the given coordinates.
 
-    ``coeffs`` are three field constants, not all zero, read in the columns
-    of the canonical basis of ``x``.
+    ``coeffs`` are three field constants, not all zero mod the characteristic, read
+    in the columns ``g_j`` of the canonical basis of ``x``.  The neighbor is built in
+    canonical form, exactly: for ``k`` the last index of a nonzero coordinate, ``t g_j``
+    (j != k) and ``v = g_k + sum_{i<k} c_i g_i`` need only the above-diagonal pass.
     """
     field = x.field
+    coeffs, support = _residue_coords(field, coeffs)
+    k = support[-1]
+    inv = field.inv(coeffs[k])
     cols = x.basis.columns()
-    v = [LaurentScalar.zero(field) for _ in range(3)]
-    for c, col in zip(coeffs, cols):
-        if c != 0:
-            v = [a + b.scale(c) for a, b in zip(v, col)]
-    gens = [v] + [[f.shift(1) for f in col] for col in cols]
-    return class_from_generators(gens, field)
+    v = cols[k]
+    for i in support[:-1]:
+        v = [a + b.scale(field.normalize(coeffs[i] * inv)) for a, b in zip(v, cols[i])]
+    gens = [v if j == k else [f.shift(1) for f in col] for j, col in enumerate(cols)]
+    return _normalized_class(_reduce_above_diagonal(field, gens, inf))
 
 
 def step_to_plane(x, covector):
     """The omega_2-neighbor given by the residue plane annihilated by ``covector``.
 
-    ``covector`` has three field constants, not all zero; the plane consists
-    of residue vectors orthogonal to it in basis coordinates.
+    ``covector`` has three field constants ``u_i``, not all zero mod the characteristic;
+    the plane is orthogonal to it in the coordinates of the canonical basis of ``x``.
+    Built in canonical form as in :func:`step_to_line`: for ``p`` the first index with
+    ``u_p != 0``, ``g_i`` (i < p), ``t g_p`` and ``g_i - (u_i / u_p) g_p`` (i > p).
     """
     field = x.field
+    covector, (p, *_) = _residue_coords(field, covector)
+    inv = field.inv(covector[p])
     cols = x.basis.columns()
-    pivot = next(j for j in range(3) if covector[j] != 0)
-    inv = field.inv(covector[pivot])
-    gens = []
-    for i in range(3):
-        if i == pivot:
-            continue
-        ratio = field.normalize(-covector[i] * inv)
-        gen = [a + b.scale(ratio) for a, b in zip(cols[i], cols[pivot])]
-        gens.append(gen)
-    gens += [[f.shift(1) for f in col] for col in cols]
-    return class_from_generators(gens, field)
+    gens = cols[:p] + [[f.shift(1) for f in cols[p]]] + [
+        [a + b.scale(field.normalize(-covector[i] * inv)) for a, b in zip(cols[i], cols[p])]
+        for i in range(p + 1, 3)
+    ]
+    return _normalized_class(_reduce_above_diagonal(field, gens, inf))
 
 
 def random_step(x, w, rng):

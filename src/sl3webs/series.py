@@ -9,12 +9,14 @@ explicit power ``t^M`` whose exponent is chosen so that the truncation
 cannot change the answer.  The key fact is that a full-rank span ``L`` of
 columns contains ``t^M * O^3`` once ``M`` exceeds
 ``val(det A) - 2 * minval`` for any nonsingular column triple ``A``, so
-column operations may be reduced mod ``t^M`` without moving ``L``.
+column operations may be reduced mod ``t^M`` without moving ``L``.  Library
+callers know ``val(det A)``; only generators from outside form a determinant.
 
 The two normal forms computed here are a column Hermite form over the
 valuation ring ``O = k[[t]]`` (canonical bases for lattices) and the
 elementary-divisor exponents of a nonsingular square matrix together with
-the basis that diagonalizes it (relative position of two lattices).
+the basis that diagonalizes it (relative position of two lattices).  Neighbor
+steps build their bases in Hermite shape and run only its above-diagonal pass.
 
 Invariant: every stored coefficient is normalized (a ``Fraction`` over Q,
 an int in ``range(p)`` over F_p) and nonzero.  The public constructors
@@ -28,6 +30,7 @@ from contextlib import suppress
 from fractions import Fraction
 from itertools import combinations
 from math import inf
+from re import fullmatch
 
 from .errors import InvariantViolated, MalformedJSON, RankDeficient, SingularMatrix, json_fields
 
@@ -95,9 +98,9 @@ class CoefficientField:
         return str(c) if self.p is None else int(c)
 
     def coeff_from_json(self, obj):
-        """A Laurent term's ``c``: a rational as a string or an int over Q, an int over F_p."""
+        """Laurent term ``c``: an int or ``"[+-]digits[/digits]"`` over Q, an int over F_p."""
         if self.p is None:
-            if type(obj) in (int, str):
+            if type(obj) is int or type(obj) is str and fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", obj):
                 with suppress(ValueError, ZeroDivisionError):
                     return Fraction(obj)
             raise MalformedJSON(f"Q coefficient 'c' must be a rational string or int, got {obj!r}")
@@ -267,6 +270,8 @@ class LaurentScalar:
 
     @classmethod
     def from_json(cls, field, obj):
+        if not isinstance(obj, list):
+            raise MalformedJSON(f"Laurent scalar must be a list of terms, got {type(obj).__name__}")
         terms = {}
         for t in obj:
             (e,) = json_fields(t, "Laurent term", e=int)
@@ -475,12 +480,14 @@ def truncation_order(mat):
     raise RankDeficient("columns do not span K^3")
 
 
-def hermite_over_O(mat):
+def hermite_over_O(mat, det_val=None):
     """Canonical column Hermite form of a full-rank 3 x k matrix over O.
 
     INPUT:
 
     - ``mat`` -- a 3 x k :class:`LaurentMatrix` whose columns span ``K^3``
+    - ``det_val`` -- optional, ``val(det A)`` for the first nonsingular column triple
+      ``A``, which library callers know; by default :func:`truncation_order` finds it
 
     OUTPUT: the unique 3 x 3 upper-triangular basis of the O-span of the
     columns whose diagonal entries are plain powers ``t^(a_i)`` and whose
@@ -491,10 +498,11 @@ def hermite_over_O(mat):
 
     The row for the pivot is chosen bottom-to-top; within a row the pivot
     is a minimal-valuation entry, ties to the leftmost column.  All column
-    operations happen modulo ``t^M`` for the :func:`truncation_order` bound,
-    which keeps every intermediate scalar finite without moving the lattice.
+    operations happen modulo ``t^M``, ``M = det_val - 2 * minval + 1`` as in
+    :func:`truncation_order`, which keeps every intermediate scalar finite
+    without moving the lattice.
     """
-    order = truncation_order(mat)
+    order = truncation_order(mat) if det_val is None else det_val - 2 * mat.minval() + 1
     field = mat.field
     cols = [[f.truncate(order) for f in mat.column(j)] for j in range(mat.ncols)]
     remaining = list(range(len(cols)))
@@ -522,16 +530,19 @@ def hermite_over_O(mat):
             cols[j] = _column_sub(cols[j], q, cols[best], order)
             cols[j][row] = LaurentScalar.zero(field)
         pivot_for_row[row] = best
-    out = [cols[pivot_for_row[r]] for r in range(3)]
-    # Reduce above-diagonal entries so the form is canonical, not just echelon.
+    return _reduce_above_diagonal(field, [cols[pivot_for_row[r]] for r in range(3)], order)
+
+
+def _reduce_above_diagonal(field, cols, order):
+    """Canonical form of columns ``cols[j]`` with ``t^(a_j)`` in row ``j`` and zeros below:
+    row-``i`` entries right of the diagonal reduced below ``t^(a_i)``, modulo ``t^order``."""
     for j in (1, 2):
         for i in range(j - 1, -1, -1):
-            a_i = out[i][i].val()
-            q, rem = out[j][i].split_at(a_i)
+            q, rem = cols[j][i].split_at(cols[i][i].val())
             if not q.is_zero():
-                out[j] = _column_sub(out[j], q, out[i], order)
-            out[j][i] = rem
-    return LaurentMatrix.from_columns(field, out)
+                cols[j] = _column_sub(cols[j], q, cols[i], order)
+            cols[j][i] = rem
+    return LaurentMatrix.from_columns(field, cols)
 
 
 def smith_form(mat, det_val):

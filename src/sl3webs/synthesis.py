@@ -27,10 +27,10 @@ from .building import (
     OMEGA2,
     ZERO_WEIGHT,
     LatticeClass,
+    _apartment_form,
     _dual,
     _normalized_class,
     _sample_coeff,
-    apartment_lattice,
     class_apartment,
     distance,
     dual_weight,
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .growth import _complete, _padded, _unpadded, enumerate_diagrams
 from .hulls import induced_complex, path_hull_fastpath
-from .series import DEFAULT_PRIME, GF, hermite_over_O, solve_upper_triangular
+from .series import DEFAULT_PRIME, GF, solve_upper_triangular
 from .webs import Diskoid, canonical_encoding, dualize
 
 __all__ = [
@@ -433,7 +433,7 @@ def _stratum_sample(field, rng, big, small, tries=64):
 
 def _residue_rows(x, apartment, a):
     """Echelon rows of the residues of ``L_x meet t^a L_anchor`` in ``L_x / t L_x``."""
-    meet = hermite_over_O(apartment_lattice(apartment, a, max))
+    meet = _apartment_form(x.basis, apartment, a, max)
     return _echelon(
         x.field,
         [[s.coeff(0) for s in solve_upper_triangular(x.basis, col)] for col in meet.columns()],
@@ -464,8 +464,13 @@ def _conditioned_line(x, anchor, target, rng):
     return None
 
 
-def _dual_class(x):
-    return _normalized_class(_dual(x.basis))
+def _dual_class(x, duals):
+    """The dual class of ``x``, remembered in ``duals`` both ways (``x`` is its dual's dual)."""
+    y = duals.get(x)
+    if y is None:
+        duals[x] = y = _normalized_class(_dual(x.basis))
+        duals[y] = x
+    return y
 
 
 def conditioned_step(x, letter, anchor, target, rng):
@@ -483,9 +488,16 @@ def conditioned_step(x, letter, anchor, target, rng):
     compatible with the target, or None when no stratum is.  Steps of type
     2 are reduced to type 1 on the dual lattices, which reverse distances.
     """
+    return _conditioned_step(x, letter, anchor, target, rng, {})
+
+
+def _conditioned_step(x, letter, anchor, target, rng, duals):
+    """:func:`conditioned_step`, with the dual classes kept in ``duals``."""
     if letter == 2:
-        yd = _conditioned_line(_dual_class(x), _dual_class(anchor), dual_weight(target), rng)
-        return None if yd is None else _dual_class(yd)
+        yd = _conditioned_line(
+            _dual_class(x, duals), _dual_class(anchor, duals), dual_weight(target), rng
+        )
+        return None if yd is None else _dual_class(yd, duals)
     return _conditioned_line(x, anchor, target, rng)
 
 
@@ -520,7 +532,7 @@ class RealizedPolygon:
         return f"RealizedPolygon({self.diagram!r})"
 
 
-def _attempt_realization(d, rng, field):
+def _attempt_realization(d, rng, field, duals):
     n = d.n
     w = d.word
     x = [None] * (n + 1)
@@ -529,14 +541,14 @@ def _attempt_realization(d, rng, field):
         x[2] = random_step(x[1], letter_weight(w[0]), rng)
         return x[1:]
     for j in range(2, n - 1):
-        x[j] = conditioned_step(x[j - 1], w[j - 2], x[1], _weight(d.entry(1, j)), rng)
+        x[j] = _conditioned_step(x[j - 1], w[j - 2], x[1], _weight(d.entry(1, j)), rng, duals)
         if x[j] is None:
             return None
-    x[n] = conditioned_step(x[1], 3 - w[n - 1], x[n - 2], _weight(d.entry(n - 2, n)), rng)
+    x[n] = _conditioned_step(x[1], 3 - w[n - 1], x[n - 2], _weight(d.entry(n - 2, n)), rng, duals)
     if x[n] is None:
         return None
-    x[n - 1] = conditioned_step(
-        x[n - 2], w[n - 3], x[n], dual_weight(letter_weight(w[n - 2])), rng
+    x[n - 1] = _conditioned_step(
+        x[n - 2], w[n - 3], x[n], dual_weight(letter_weight(w[n - 2])), rng, duals
     )
     return None if x[n - 1] is None else x[1:]
 
@@ -558,7 +570,8 @@ def realize_polygon(d, rng, retry_cap=1000, field=None):
     n-1 closes the gap conditioned on vertex n.  Any unsatisfiable
     condition discards the attempt, and so does a polygon that
     :class:`RealizedPolygon` rejects: over a small field a draw that meets
-    every condition can still bring two other vertices too close.
+    every condition can still bring two other vertices too close.  Dual
+    classes are remembered across the attempts of this call only.
     Raises :class:`~sl3webs.errors.RealizationFailed` when the cap runs
     out.
     """
@@ -566,8 +579,9 @@ def realize_polygon(d, rng, retry_cap=1000, field=None):
         raise PreconditionViolated("retry_cap must be at least 1")
     if field is None:
         field = GF(DEFAULT_PRIME)
+    duals = {}
     for _ in range(retry_cap):
-        classes = _attempt_realization(d, rng, field)
+        classes = _attempt_realization(d, rng, field, duals)
         if classes is None:
             continue
         try:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -457,3 +458,66 @@ def test_lattice_meet_matches_duality(field):
         ])
         for x, y in ((a, b), (b.shift(-2), a), (gens, mixed)):
             assert lattice_meet(x, y) == dual_meet(x, y)
+
+
+def generic_step_to_line(x, coeffs):
+    """The line step as the Hermite form of its generators ``<v, t L_x>``."""
+    field = x.field
+    cols = x.basis.columns()
+    v = [LaurentScalar.zero(field) for _ in range(3)]
+    for c, col in zip(coeffs, cols):
+        if c != 0:
+            v = [a + b.scale(c) for a, b in zip(v, col)]
+    gens = [v] + [[f.shift(1) for f in col] for col in cols]
+    return class_from_generators(gens, field)
+
+
+def generic_step_to_plane(x, covector):
+    """The plane step as the Hermite form of its generators
+    ``<g_i - (u_i / u_p) g_p for i != p, t L_x>``."""
+    field = x.field
+    cols = x.basis.columns()
+    pivot = next(j for j in range(3) if covector[j] != 0)
+    inv = field.inv(covector[pivot])
+    gens = []
+    for i in range(3):
+        if i == pivot:
+            continue
+        ratio = field.normalize(-covector[i] * inv)
+        gen = [a + b.scale(ratio) for a, b in zip(cols[i], cols[pivot])]
+        gens.append(gen)
+    gens += [[f.shift(1) for f in col] for col in cols]
+    return class_from_generators(gens, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(10007)], ids=repr)
+def test_direct_steps_match_the_hermite_form_of_their_generators(field):
+    # every coefficient vector over GF(2) and GF(3); elsewhere every zero
+    # pattern, with the nonzero entries 1 or a random constant
+    rng = random.Random(67 + (field.p or 0))
+    steps_checked = 0
+    for start in (LatticeClass.standard(field), random_class(rng, field)):
+        x = start
+        for _ in range(4):
+            x = random_step(x, rng.choice([OMEGA1, OMEGA2]), rng)
+            if field.p in (2, 3):
+                vectors = itertools.product(range(field.p), repeat=3)
+            else:
+                c = field.normalize(rng.randrange(2, field.p or 10007))
+                vectors = itertools.product((0, 1, c), repeat=3)
+            for v in vectors:
+                if any(v):
+                    assert step_to_line(x, v) == generic_step_to_line(x, v)
+                    assert step_to_plane(x, v) == generic_step_to_plane(x, v)
+                    steps_checked += 2
+    assert steps_checked == 8 * 2 * (7 if field.p == 2 else 26)
+
+
+@pytest.mark.parametrize("builder", [step_to_line, step_to_plane], ids=["line", "plane"])
+@pytest.mark.parametrize(
+    "coeffs", [(0, 0, 0), (7, 0, 0), (0, -14, 21)], ids=["zero", "p", "multiples"]
+)
+def test_zero_residue_vectors_are_refused(builder, coeffs):
+    x = random_step(LatticeClass.standard(GF(7)), OMEGA1, random.Random(4))
+    with pytest.raises(PreconditionViolated, match="must not all be zero"):
+        builder(x, coeffs)

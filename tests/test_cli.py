@@ -502,8 +502,11 @@ def test_promote_refuses_parts_that_are_not_json_integers(capsys, tmp_path, firs
         ([{"e": 0}], "no field 'c'"),
         ([{"e": 0, "c": "1/0"}], "'c' must be a rational string or int, got '1/0'"),
         ([{"e": 0, "c": "nan"}], "'c' must be a rational string or int, got 'nan'"),
+        ([{"e": 0, "c": "1e100000"}], "'c' must be a rational string or int, got '1e100000'"),
+        ([{"e": 0, "c": " 1.5 "}], "'c' must be a rational string or int, got ' 1.5 '"),
+        ([{"e": 0, "c": "1_0"}], "'c' must be a rational string or int, got '1_0'"),
     ],
-    ids=["repeated", "missing", "zero-denominator", "nan"],
+    ids=["repeated", "missing", "zero-denominator", "nan", "exponent", "spaced", "underscore"],
 )
 def test_laurent_term_faults_name_the_field(capsys, tmp_path, terms, message):
     lattice = standard_lattice(Q_FIELD, "1")
@@ -513,6 +516,22 @@ def test_laurent_term_faults_name_the_field(capsys, tmp_path, terms, message):
     code, out, err = invoke(capsys, "distance", str(path), "0", "0")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and message in err and "Error(" not in err
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [({"e": 0, "c": "1"}, "dict"), ("1", "str"), (1, "int"), (None, "NoneType")],
+    ids=["term-object", "string", "int", "null"],
+)
+def test_a_scalar_that_is_not_a_list_of_terms_is_named(capsys, tmp_path, entry, kind):
+    lattice = standard_lattice(Q_FIELD, "1")
+    lattice["columns"][0][0] = entry
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps([standard_lattice(Q_FIELD, "1"), lattice]))
+    code, out, err = invoke(capsys, "distance", str(path), "0", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Error(" not in err
+    assert f"Laurent scalar must be a list of terms, got {kind}" in err
 
 
 @pytest.mark.parametrize("name", sorted(unorientable_diskoid_docs()))
@@ -658,6 +677,19 @@ COMBINATORIAL_8_GUARD_SHA1 = "ff6878bf84d74cbb81888c5635ea8d9a77b325ec"
 def test_combinatorial_output_of_length_8_is_unchanged(capsys):
     transcript = _combinatorial_transcript(capsys, lengths=[8])
     assert hashlib.sha1(transcript).hexdigest() == COMBINATORIAL_8_GUARD_SHA1
+
+
+def test_verify_passes_every_component_of_length_9(capsys):
+    # the combinatorial checks past the length-8 guard: CAT(0) diskoid,
+    # non-elliptic dual web, boundary word and distinct webs for every
+    # component of every length-9 word
+    count = 0
+    for w in itertools.product("12", repeat=9):
+        code, out, err = invoke(capsys, "verify", "".join(w))
+        lines = out.splitlines()
+        assert (code, err) == (0, "") and lines[-1] == f"all {len(lines) - 1} components verified"
+        count += len(lines) - 1
+    assert count == 7980
 
 
 @pytest.mark.parametrize("fault", ["omitted", "repeated"])

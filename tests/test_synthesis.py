@@ -13,11 +13,13 @@ from fixtures import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3webs import synthesis
+from sl3webs import building, series, synthesis
 from sl3webs.building import (
     OMEGA1,
     OMEGA2,
     LatticeClass,
+    _dual,
+    _normalized_class,
     adjacent,
     class_apartment,
     distance,
@@ -32,7 +34,7 @@ from sl3webs.cli import derived_rng
 from sl3webs.errors import PreconditionViolated, RealizationFailed
 from sl3webs.growth import complete_from_row, dif, enumerate_diagrams, partition
 from sl3webs.hulls import SimplicialComplex2, conv, induced_complex, path_hull_fastpath
-from sl3webs.series import DEFAULT_PRIME, GF, QQ, solve_upper_triangular
+from sl3webs.series import DEFAULT_PRIME, GF, QQ, LaurentMatrix, solve_upper_triangular
 from sl3webs.synthesis import (
     ElbowMove,
     MoveLog,
@@ -581,7 +583,7 @@ def test_realization_over_small_fields():
 )
 def test_realization_retries_after_a_rejected_attempt(field, word, component, seed):
     g = enumerate_diagrams(word)[component]
-    first = synthesis._attempt_realization(g, random.Random(seed), field)
+    first = synthesis._attempt_realization(g, random.Random(seed), field, {})
     assert first is not None
     with pytest.raises(PreconditionViolated):
         RealizedPolygon(first, g)
@@ -666,6 +668,50 @@ def test_realized_polygons_are_unchanged():
     assert h.hexdigest() == REALIZED_POLYGONS_SHA1
 
 
+def test_dual_memo_remembers_both_ways():
+    duals = {}
+    rng = random.Random(5)
+    for field in (QQ, GF(3), GF(DEFAULT_PRIME)):
+        x = random_walk(LatticeClass.standard(field), rng, 5)
+        y = synthesis._dual_class(x, duals)
+        assert y == _normalized_class(_dual(x.basis))
+        assert synthesis._dual_class(y, duals) is x
+        assert synthesis._dual_class(x, duals) is y
+        assert x == _normalized_class(_dual(y.basis))
+
+
+def test_internal_precision_is_read_off_the_inputs(monkeypatch):
+    # every Hermite form on the realization, cross-validation and hull roads
+    # gets ``det_val`` from its caller, and it gives truncation_order's precision
+    classes = octagon_classes()
+    octagon = [classes[i] for i in range(1, 9)]
+    calls = []
+    hermite = building.hermite_over_O
+
+    def spy(mat, det_val=None):
+        calls.append((mat, det_val))
+        return hermite(mat, det_val)
+
+    def refuse(*_args):
+        raise AssertionError("determinant formed on an internal path")
+
+    monkeypatch.setattr(building, "hermite_over_O", spy)
+    monkeypatch.setattr(series, "truncation_order", refuse)
+    monkeypatch.setattr(LaurentMatrix, "det", refuse)
+    count = 0
+    for g, rng in verify_stream_components(6):
+        assert cross_validate(g, rng)
+        count += 1
+    hull = conv(octagon)
+    assert induced_complex(hull).counts() == (9, 16, 8)
+    assert path_hull_fastpath(octagon + octagon[:1]) == hull
+    monkeypatch.undo()
+    assert count == 176 and len(calls) > 1000
+    for mat, det_val in calls:
+        assert det_val is not None
+        assert det_val - 2 * mat.minval() + 1 == series.truncation_order(mat)
+
+
 def test_cross_validate_over_rationals():
     # the geometric guards run mostly over primes; this runs the Fraction
     # branch of every series kernel
@@ -726,6 +772,16 @@ def test_cross_validate_every_sixth_word_of_length_8():
             assert cross_validate(g, derived_rng(0, "verify", text, k)), (text, k)
             count += 1
     assert count == 220
+
+
+def test_cross_validate_every_component_up_to_length_8():
+    # all 2,584 components of the length-8 sweep, on the stream
+    # ``verify --geometric --seed 0`` uses
+    count = 0
+    for g, rng in verify_stream_components(8):
+        assert cross_validate(g, rng), (g.word, count)
+        count += 1
+    assert count == 2584
 
 
 # type words of length 9-10 with a nonzero invariant space
