@@ -4,8 +4,11 @@ A set of lattice classes is min-convex when it contains every class of the
 form [L meet t^a L'] built from two of its members, and max-convex when it
 contains every [L + t^a L'].  ``minconv`` and ``maxconv`` compute the least
 such supersets by a pairwise fixpoint; ``conv`` is their intersection.  The
-1-skeleton induced on any of these vertex sets, together with all triangle
-cliques, is returned by :func:`induced_complex`.
+fixpoint requests no pair that lies inside a pair hull it already holds:
+``minconv_pair(x, y)`` is the min-convex hull of {x, y}, so it is min-convex
+and contains ``minconv_pair(u, v)`` for any two of its vertices; likewise
+for ``maxconv_pair``.  The 1-skeleton induced on any of these vertex sets,
+together with all triangle cliques, is returned by :func:`induced_complex`.
 """
 
 from itertools import combinations
@@ -71,17 +74,29 @@ def conv_pair(x, y):
 
 def _pairwise_closure(vertices, pair_hull):
     """Fixpoint of ``pair_hull`` by a worklist: each vertex, old or new, is
-    paired once with every vertex taken before it, so each unordered pair of
-    the closure is requested exactly once."""
+    paired with every vertex taken before it, except a pair that lies inside
+    a pair hull already returned.  A pair hull is itself closed (its own hull
+    of any two of its vertices lies inside it), so such a pair adds nothing.
+    ``hulls_of`` maps a vertex to a bit mask of the returned hulls with more
+    than two vertices that contain it."""
     verts = set(vertices)
     if not verts:
         raise ValueError("hull of an empty vertex set")
     todo = sorted(verts)
     done = []
+    hulls_of = {}
+    bit = 1
     while todo:
         x = todo.pop()
         for y in done:
-            new = pair_hull(x, y) - verts
+            if hulls_of.get(x, 0) & hulls_of.get(y, 0):
+                continue
+            hull = pair_hull(x, y)
+            if len(hull) > 2:
+                for v in hull:
+                    hulls_of[v] = hulls_of.get(v, 0) | bit
+                bit <<= 1
+            new = hull - verts
             verts |= new
             todo.extend(sorted(new))
         done.append(x)

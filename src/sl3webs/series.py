@@ -17,6 +17,9 @@ valuation ring ``O = k[[t]]`` (canonical bases for lattices) and the
 elementary-divisor exponents of a nonsingular square matrix together with
 the basis that diagonalizes it (relative position of two lattices).  Neighbor
 steps build their bases in Hermite shape and run only its above-diagonal pass.
+Most operands met there are zero, a constant or one or two terms, so a product
+with a zero operand forms nothing, a constant unit is inverted without Newton
+steps, and a pivot whose unit is exactly 1 is not scaled.
 
 Invariant: every stored coefficient is normalized (a ``Fraction`` over Q,
 an int in ``range(p)`` over F_p) and nonzero.  The public constructors
@@ -161,7 +164,7 @@ class LaurentScalar:
 
     @classmethod
     def zero(cls, field):
-        return cls(field, {})
+        return cls._trusted(field, {})
 
     @classmethod
     def constant(cls, field, c):
@@ -169,7 +172,7 @@ class LaurentScalar:
 
     @classmethod
     def one(cls, field):
-        return cls(field, {0: 1})
+        return cls._trusted(field, {0: field.normalize(1)})
 
     @classmethod
     def monomial(cls, field, e, c=1):
@@ -206,14 +209,9 @@ class LaurentScalar:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        get = out.get
-        items = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in items:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return _reduced(self.field, out)
+        if not (self.terms and other.terms):
+            return LaurentScalar._trusted(self.field, {})
+        return _fused(self.field, {}, ((self, other),))
 
     def scale(self, c):
         return _reduced(self.field, {e: a * c for e, a in self.terms.items()})
@@ -355,13 +353,10 @@ class LaurentMatrix:
             return NotImplemented
         if self.ncols != other.nrows or self.field != other.field:
             raise ValueError("shape or domain mismatch")
-        zero = LaurentScalar.zero(self.field)
         cols = other.columns()
-        rows = [
-            [sum((a * b for a, b in zip(r, c) if a.terms and b.terms), zero) for c in cols]
-            for r in self.rows
-        ]
-        return LaurentMatrix(self.field, rows)
+        return LaurentMatrix(
+            self.field, [[_fused(self.field, {}, zip(r, c)) for c in cols] for r in self.rows]
+        )
 
     def minval(self):
         """Minimum valuation over all entries (``inf`` for a zero matrix)."""
@@ -403,35 +398,38 @@ def _reduced(field, raw):
     return LaurentScalar._trusted(field, {e: r for e, c in raw.items() if (r := c % p)})
 
 
+def _fused(field, out, pairs, order=inf, sub=False):
+    """The one product kernel: ``out + sum(f * g for f, g in pairs)`` mod ``t^order``, minus
+    the sum when ``sub``; ``out`` is a raw dict of terms below ``order``.  Each pair is
+    checked for its domain, no term at or above ``order`` is formed, and the sum is
+    reduced once."""
+    get = out.get
+    for f, g in pairs:
+        f._check(g)
+        items = g.terms.items()
+        for e1, c1 in f.terms.items():
+            if sub:
+                c1 = -c1
+            lim = order - e1
+            for e2, c2 in items:
+                if e2 < lim:
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
+    return _reduced(field, out)
+
+
 def _sub_mul_trunc(a, q, b, order):
     """``(a - q * b) mod t^order``, forming no product at or above ``order``."""
     a._check(q)
     a._check(b)
-    out = {e: c for e, c in a.terms.items() if e < order}
-    get = out.get
-    items = b.terms.items()
-    for e1, c1 in q.terms.items():
-        lim = order - e1
-        for e2, c2 in items:
-            if e2 < lim:
-                e = e1 + e2
-                out[e] = get(e, 0) - c1 * c2
-    return _reduced(a.field, out)
+    if not (q.terms and b.terms):
+        return a.truncate(order)
+    return _fused(a.field, {e: c for e, c in a.terms.items() if e < order}, ((q, b),), order, True)
 
 
 def _mul_trunc(a, u, order):
     """``(a * u) mod t^order``, forming no product at or above ``order``."""
-    a._check(u)
-    out = {}
-    get = out.get
-    items = u.terms.items()
-    for e1, c1 in a.terms.items():
-        lim = order - e1
-        for e2, c2 in items:
-            if e2 < lim:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-    return _reduced(a.field, out)
+    return _fused(a.field, {}, ((a, u),), order)
 
 
 def unit_inverse_trunc(f, order):
@@ -444,7 +442,9 @@ def unit_inverse_trunc(f, order):
     if f.val() != 0:
         raise ValueError("inverse requires a unit of valuation 0")
     field = f.field
-    g = LaurentScalar.constant(field, field.inv(f.coeff(0)))
+    g = LaurentScalar._trusted(field, {0: field.inv(f.terms[0])})
+    if len(f.terms) == 1:
+        return g
     prec = 1
     while prec < order:
         low, prec = prec, min(2 * prec, order)
@@ -504,6 +504,7 @@ def hermite_over_O(mat, det_val=None):
     """
     order = truncation_order(mat) if det_val is None else det_val - 2 * mat.minval() + 1
     field = mat.field
+    one, zero = field.normalize(1), LaurentScalar._trusted(field, {})
     cols = [[f.truncate(order) for f in mat.column(j)] for j in range(mat.ncols)]
     remaining = list(range(len(cols)))
     pivot_for_row = {}
@@ -515,12 +516,13 @@ def hermite_over_O(mat, det_val=None):
                 best = j
         if best is None:
             raise RankDeficient(f"no pivot available in row {row}")
-        a = cols[best][row].val()
-        unit = cols[best][row].shift(-a)
-        col_min = min(f.val() for f in cols[best] if f.terms)
-        inv = unit_inverse_trunc(unit, order - min(col_min, 0))
-        cols[best] = [_mul_trunc(x, inv, order) for x in cols[best]]
-        cols[best][row] = LaurentScalar.monomial(field, a)
+        pivot = cols[best][row]
+        a = pivot.val()
+        if len(pivot.terms) > 1 or pivot.terms[a] != 1:
+            col_min = min(f.val() for f in cols[best] if f.terms)
+            inv = unit_inverse_trunc(pivot.shift(-a), order - min(col_min, 0))
+            cols[best] = [_mul_trunc(x, inv, order) for x in cols[best]]
+            cols[best][row] = LaurentScalar._trusted(field, {a: one})
         remaining.remove(best)
         for j in remaining:
             g = cols[j][row]
@@ -528,7 +530,7 @@ def hermite_over_O(mat, det_val=None):
                 continue
             q = g.shift(-a)
             cols[j] = _column_sub(cols[j], q, cols[best], order)
-            cols[j][row] = LaurentScalar.zero(field)
+            cols[j][row] = zero
         pivot_for_row[row] = best
     return _reduce_above_diagonal(field, [cols[pivot_for_row[r]] for r in range(3)], order)
 
@@ -590,14 +592,12 @@ def smith_form(mat, det_val):
         for i in rows:
             if grid[i][pj].is_zero():
                 continue
-            q = _mul_trunc(grid[i][pj], inv, order).shift(-a)
+            q = grid[i][pj] if inv.terms == {0: 1} else _mul_trunc(grid[i][pj], inv, order)
+            q = q.shift(-a)
             for j in cols:
                 grid[i][j] = _sub_mul_trunc(grid[i][j], q, grid[pi][j], order)
             minus_q = -q
-            basis[pi] = [
-                _sub_mul_trunc(u, minus_q, w, prec) if w.terms else u
-                for u, w in zip(basis[pi], basis[i])
-            ]
+            basis[pi] = [_sub_mul_trunc(u, minus_q, w, prec) for u, w in zip(basis[pi], basis[i])]
     if exps != sorted(exps):
         raise InvariantViolated("pivot valuations not nondecreasing")
     if sum(exps) != det_val:
@@ -631,8 +631,9 @@ def solve_upper_triangular(tri, vec):
         a = tri.entry(i, i).val()
         x = residue[i].shift(-a)
         coords[i] = x
-        for r in range(i):
-            residue[r] = residue[r] - x * tri.entry(r, i)
+        if x.terms:
+            for r in range(i):
+                residue[r] = _sub_mul_trunc(residue[r], x, tri.entry(r, i), inf)
     return coords
 
 

@@ -1,10 +1,13 @@
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from itertools import combinations
 
 import pytest
 from fixtures import octagon_classes, octagon_hull_extras
 
-from sl3webs import building, series
+from sl3webs import building, hulls, series
 from sl3webs.building import (
     OMEGA1,
     OMEGA2,
@@ -12,12 +15,15 @@ from sl3webs.building import (
     adjacent,
     distance,
     join,
+    lattice_to_json,
     meet,
     random_step,
     steps,
     weight_components,
 )
+from sl3webs.cli import run
 from sl3webs.errors import NotAPath
+from sl3webs.growth import enumerate_diagrams
 from sl3webs.hulls import (
     conv,
     conv_pair,
@@ -31,6 +37,7 @@ from sl3webs.hulls import (
     path_hull_fastpath,
 )
 from sl3webs.series import GF, QQ
+from sl3webs.synthesis import realize_polygon
 
 F7 = GF(7)
 
@@ -291,3 +298,98 @@ def test_complex_json_and_dot():
     dot = cx.to_dot()
     assert dot.startswith("graph hull {")
     assert dot.count(" -- ") == 16
+
+
+# -- the closure that requests every pair, kept as an oracle -------------------
+
+
+def every_pair_closure(vertices, pair_hull):
+    """Fixpoint of ``pair_hull`` by a worklist: each vertex, old or new, is
+    paired once with every vertex taken before it, so each unordered pair of
+    the closure is requested exactly once."""
+    verts = set(vertices)
+    todo = sorted(verts)
+    done = []
+    while todo:
+        x = todo.pop()
+        for y in done:
+            new = pair_hull(x, y) - verts
+            verts |= new
+            todo.extend(sorted(new))
+        done.append(x)
+    return frozenset(verts)
+
+
+def counting(pair_hull, calls):
+    def counted(x, y):
+        calls.append((x, y))
+        return pair_hull(x, y)
+
+    return counted
+
+
+def assert_closures_match_the_oracle(vertices):
+    """The closures equal the oracle's, built by the same insertions; returns
+    the pair hulls requested and those the oracle requests."""
+    asked, every = [], []
+    hull = {}
+    for pair_hull, closure in ((minconv_pair, minconv), (maxconv_pair, maxconv)):
+        want = every_pair_closure(vertices, counting(pair_hull, every))
+        got = hulls._pairwise_closure(vertices, counting(pair_hull, asked))
+        assert got == want and list(got) == list(want)
+        assert closure(vertices) == want
+        hull[closure] = want
+    assert conv(vertices) == hull[minconv] & hull[maxconv]
+    return len(asked), len(every)
+
+
+def test_closure_matches_the_oracle_on_the_octagon():
+    asked, every = assert_closures_match_the_oracle(set(octagon_classes().values()))
+    assert asked < every
+
+
+@pytest.mark.parametrize("word", ["121212", "111222"])
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_closure_matches_the_oracle_on_realized_components(word, field):
+    for k, d in enumerate(enumerate_diagrams(word)):
+        poly = realize_polygon(d, random.Random(k), field=field)
+        assert_closures_match_the_oracle(set(poly.classes))
+
+
+def test_closure_matches_the_oracle_on_random_walk_sets():
+    # vertices are ends of independent random walks from the standard class,
+    # so the sets are not paths and their pair hulls overlap in many ways
+    rng = random.Random(26)
+    skipped = 0
+    for field, n_sets, max_steps in ((F7, 10, 3), (QQ, 4, 2)):
+        for _ in range(n_sets):
+            n_steps = rng.randrange(2, max_steps + 1)
+            asked, every = assert_closures_match_the_oracle(
+                {random_vertex(rng, field, n_steps) for _ in range(rng.randrange(3, 6))}
+            )
+            skipped += every - asked
+    assert skipped > 0
+
+
+def test_collinear_conv_requests_two_pair_hulls(monkeypatch, tmp_path):
+    """Two classes at distance (40, 0, 0): the first pair hull of each closure
+    holds the whole 41-vertex geodesic, so no other pair is requested (the
+    every-pair closure requests 41 * 40 of them)."""
+    calls = []
+    for name in ("minconv_pair", "maxconv_pair"):
+        pair_hull = getattr(hulls, name)
+
+        def counted(x, y, pair_hull=pair_hull):
+            calls.append((x, y))
+            return pair_hull(x, y)
+
+        monkeypatch.setattr(hulls, name, counted)
+    ends = [LatticeClass.standard(QQ), LatticeClass.from_diagonal(QQ, (-40, 0, 0))]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps([lattice_to_json(x.basis) for x in ends]))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["hull", str(path), "--conv"]) == 0
+    assert len(calls) == 2
+    cx = json.loads(out.getvalue())
+    assert len(cx["vertices"]) == 41 and len(cx["edges"]) == 40

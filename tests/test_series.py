@@ -15,7 +15,9 @@ from sl3webs.series import (
     hermite_over_O,
     invert_upper_triangular,
     smith_exponents,
+    smith_form,
     solve_upper_triangular,
+    truncation_order,
     unit_inverse_trunc,
 )
 
@@ -412,3 +414,263 @@ def test_mixed_fields_raise():
             _mul_trunc(a, b, 3)
     # equal fields that are different objects still mix freely
     assert (f + S(GF(7), {0: 6})).terms == {1: 2}
+
+
+# -- the generic kernels, kept as oracles for the fast paths -------------------
+# Every product below is formed in full from raw terms and normalized by the
+# public constructor; no pivot, unit or zero operand is treated specially.
+
+
+def trunc_product(f, g, order=inf):
+    return raw_scalar(f.field, raw_product(f, g), order)
+
+
+def sub_product(a, q, b, order=inf):
+    return raw_scalar(a.field, raw_add(a.terms, raw_product(q, b), -1), order)
+
+
+def newton_inverse(f, order):
+    """``unit_inverse_trunc`` by Newton iteration alone, constants included."""
+    field = f.field
+    g = LaurentScalar.constant(field, field.inv(f.coeff(0)))
+    prec = 1
+    while prec < order:
+        low, prec = prec, min(2 * prec, order)
+        err = raw_scalar(field, {e: c for e, c in raw_product(f, g).items() if e >= low}, prec)
+        g = sub_product(g, g, err, prec)
+    return g
+
+
+def sum_of_products(m, n):
+    """The matrix product as a sum of scalar products, one entry at a time."""
+    zero = LaurentScalar.zero(m.field)
+    cols = n.columns()
+    rows = [[sum((trunc_product(a, b) for a, b in zip(r, c)), zero) for c in cols] for r in m.rows]
+    return LaurentMatrix(m.field, rows)
+
+
+def solve_by_products(tri, vec):
+    """``solve_upper_triangular`` with every residue update formed in full."""
+    coords = [None, None, None]
+    residue = list(vec)
+    for i in (2, 1, 0):
+        x = residue[i].shift(-tri.entry(i, i).val())
+        coords[i] = x
+        for r in range(i):
+            residue[r] = residue[r] - trunc_product(x, tri.entry(r, i))
+    return coords
+
+
+def hermite_by_newton(mat):
+    """``hermite_over_O`` from ``truncation_order``, inverting and scaling every pivot."""
+    order = truncation_order(mat)
+    field = mat.field
+    cols = [[f.truncate(order) for f in mat.column(j)] for j in range(mat.ncols)]
+    remaining = list(range(len(cols)))
+    pivot_for_row = {}
+    for row in (2, 1, 0):
+        live = [j for j in remaining if cols[j][row].terms]
+        if not live:
+            raise RankDeficient(f"no pivot available in row {row}")
+        best = min(live, key=lambda j: cols[j][row].val())
+        a = cols[best][row].val()
+        col_min = min(f.val() for f in cols[best] if f.terms)
+        inv = newton_inverse(cols[best][row].shift(-a), order - min(col_min, 0))
+        cols[best] = [trunc_product(x, inv, order) for x in cols[best]]
+        cols[best][row] = mono(field, a)
+        remaining.remove(best)
+        for j in remaining:
+            q = cols[j][row].shift(-a)
+            cols[j] = [sub_product(x, q, y, order) for x, y in zip(cols[j], cols[best])]
+            cols[j][row] = LaurentScalar.zero(field)
+        pivot_for_row[row] = best
+    cols = [cols[pivot_for_row[r]] for r in range(3)]
+    for j in (1, 2):
+        for i in range(j - 1, -1, -1):
+            q, rem = cols[j][i].split_at(cols[i][i].val())
+            cols[j] = [sub_product(x, q, y, order) for x, y in zip(cols[j], cols[i])]
+            cols[j][i] = rem
+    return LaurentMatrix.from_columns(field, cols)
+
+
+def smith_by_newton(mat, det_val):
+    """``smith_form`` inverting every pivot's unit and scaling every multiplier."""
+    m = mat.minval()
+    order = det_val - 2 * m + 1
+    prec = order - min(m, 0)
+    field = mat.field
+    grid = [[mat.entry(i, j).truncate(order) for j in range(3)] for i in range(3)]
+    basis = [[S(field, {0: int(i == j)}) for j in range(3)] for i in range(3)]
+    rows, cols, exps, pivot_rows = [0, 1, 2], [0, 1, 2], [], []
+    while rows:
+        live = [(i, j) for i in rows for j in cols if grid[i][j].terms]
+        pi, pj = min(live, key=lambda ij: grid[ij[0]][ij[1]].val())
+        a = grid[pi][pj].val()
+        exps.append(a)
+        pivot_rows.append(pi)
+        inv = newton_inverse(grid[pi][pj].shift(-a), prec)
+        rows.remove(pi)
+        cols.remove(pj)
+        for i in rows:
+            q = trunc_product(grid[i][pj], inv, order).shift(-a)
+            for j in cols:
+                grid[i][j] = sub_product(grid[i][j], q, grid[pi][j], order)
+            basis[pi] = [
+                raw_scalar(field, raw_add(u.terms, raw_product(q, w)), prec)
+                for u, w in zip(basis[pi], basis[i])
+            ]
+    return tuple(exps), LaurentMatrix.from_columns(field, [basis[i] for i in pivot_rows])
+
+
+# Operand shapes as the geometric road meets them: most operands are zero, a
+# constant (often exactly 1) or have one or two terms; a few are wider.
+SHAPES = ("zero", "one", "constant", "one term", "two terms", "wide")
+
+
+def nonzero_coeff(rng, field):
+    if field.p is None:
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 5))
+    return rng.randrange(1, field.p)
+
+
+def shaped_scalar(rng, field, shape, lo=-3, hi=4):
+    if shape == "zero":
+        return LaurentScalar.zero(field)
+    if shape == "one":
+        return LaurentScalar.one(field)
+    if shape == "constant":
+        return LaurentScalar.constant(field, nonzero_coeff(rng, field))
+    if shape == "one term":
+        return mono(field, rng.randrange(lo, hi), nonzero_coeff(rng, field))
+    if shape == "two terms":
+        return S(field, {e: nonzero_coeff(rng, field) for e in rng.sample(range(lo, hi), 2)})
+    return random_scalar(rng, field, lo, hi, density=0.8)
+
+
+def any_shape(rng, field, lo=-3, hi=4):
+    return shaped_scalar(rng, field, rng.choice(SHAPES), lo, hi)
+
+
+def shaped_matrix(rng, field, nrows=3, ncols=3, lo=-2, hi=3):
+    rows = [[any_shape(rng, field, lo, hi) for _ in range(ncols)] for _ in range(nrows)]
+    return LaurentMatrix(field, rows)
+
+
+def shaped_nonsingular(rng, field):
+    while True:
+        m = shaped_matrix(rng, field)
+        if not m.det().is_zero():
+            return m
+
+
+def assert_stored_matrix(m):
+    for row in m.rows:
+        for f in row:
+            assert_stored_form(f)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_product_fast_paths_match_raw_terms(field):
+    rng = random.Random(2 + (field.p or 0))
+    for f_shape in SHAPES:
+        for g_shape in SHAPES:
+            for _ in range(3):
+                a = any_shape(rng, field)
+                f, g = shaped_scalar(rng, field, f_shape), shaped_scalar(rng, field, g_shape)
+                got = f * g
+                assert got == trunc_product(f, g)
+                assert_stored_form(got)
+                for order in range(-4, 7):
+                    for got, want in (
+                        (_mul_trunc(f, g, order), trunc_product(f, g, order)),
+                        (_sub_mul_trunc(a, f, g, order), sub_product(a, f, g, order)),
+                    ):
+                        assert got == want
+                        assert_stored_form(got)
+
+
+def test_zero_operands_still_check_the_domain():
+    f, zero, other = S(F7, {0: 1, 1: 2}), LaurentScalar.zero(F7), S(GF(3), {0: 1})
+    for a, b in ((zero, other), (other, zero), (f, LaurentScalar.zero(QQ))):
+        with pytest.raises(TypeError, match="mixed scalar domains"):
+            a * b
+    with pytest.raises(TypeError, match="mixed scalar domains"):
+        _sub_mul_trunc(f, zero, other, 3)
+    with pytest.raises(TypeError, match="mixed scalar domains"):
+        _sub_mul_trunc(f, other, zero, 3)
+    with pytest.raises(TypeError, match="mixed scalar domains"):
+        _sub_mul_trunc(f, f, LaurentScalar.zero(GF(3)), 3)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_unit_inverse_matches_newton(field):
+    rng = random.Random(3 + (field.p or 0))
+    units = [LaurentScalar.one(field)]
+    units += [LaurentScalar.constant(field, nonzero_coeff(rng, field)) for _ in range(5)]
+    for _ in range(10):
+        tail = shaped_scalar(rng, field, rng.choice(SHAPES[3:]), lo=1, hi=5)
+        units.append(tail + LaurentScalar.constant(field, nonzero_coeff(rng, field)))
+    for u in units:
+        for order in (-1, 0, 1, 2, 5, 12):
+            got = unit_inverse_trunc(u, order)
+            assert got == newton_inverse(u, order)
+            assert_stored_form(got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_matrix_product_matches_sum_of_products(field):
+    rng = random.Random(4 + (field.p or 0))
+    for _ in range(20):
+        k = rng.randrange(1, 5)
+        m, n = shaped_matrix(rng, field, 3, k), shaped_matrix(rng, field, k, 3)
+        got = m * n
+        assert got == sum_of_products(m, n)
+        assert_stored_matrix(got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_solve_and_invert_match_the_oracle(field):
+    rng = random.Random(5 + (field.p or 0))
+    for _ in range(15):
+        tri = hermite_over_O(shaped_nonsingular(rng, field))
+        for vec in ([any_shape(rng, field) for _ in range(3)], tri.column(2)):
+            got = solve_upper_triangular(tri, vec)
+            assert got == solve_by_products(tri, vec)
+            for f in got:
+                assert_stored_form(f)
+        inv = invert_upper_triangular(tri)
+        assert inv == LaurentMatrix.from_columns(
+            field, [solve_by_products(tri, e) for e in LaurentMatrix.identity(field).columns()]
+        )
+        assert_stored_matrix(inv)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_hermite_matches_newton_on_generator_sets(field):
+    rng = random.Random(6 + (field.p or 0))
+    seen = 0
+    while seen < 25:
+        m = shaped_matrix(rng, field, 3, rng.randrange(3, 6))
+        try:
+            want = hermite_by_newton(m)
+        except RankDeficient:
+            with pytest.raises(RankDeficient):
+                hermite_over_O(m)
+            continue
+        got = hermite_over_O(m)
+        assert got == want
+        assert_stored_matrix(got)
+        if m.ncols == 3:
+            assert hermite_over_O(m, m.det().val()) == want
+        seen += 1
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_smith_matches_newton(field):
+    rng = random.Random(7 + (field.p or 0))
+    for _ in range(20):
+        m = shaped_nonsingular(rng, field)
+        d = m.det().val()
+        exps, basis = smith_form(m, d)
+        assert (exps, basis) == smith_by_newton(m, d)
+        assert_stored_matrix(basis)
