@@ -13,14 +13,18 @@ an ``omega_1``-neighbor of ``[L]`` corresponds to a line in the residue
 space ``L / tL`` and an ``omega_2``-neighbor to a plane.
 
 Two vertices lie in a common apartment: one Smith elimination of
-``x.basis^-1 * z.basis`` gives ``g_i`` with ``L_x = <g_i>``, ``L_z = <t^(e_i) g_i>``,
+``rel = x.basis^-1 * z.basis`` gives ``g_i`` with ``L_x = <g_i>``, ``L_z = <t^(e_i) g_i>``,
 so ``L_x meet t^a L_z = <t^max(0, a + e_i) g_i>`` and ``L_x + t^a L_z =
 <t^min(0, a + e_i) g_i>``.  Both bases are canonical forms, so the valuation
-of the determinant is read off their diagonals.  The apartment of a pair of
-classes is cached once per unordered pair: the distance, both pair chains and
-the residue strata of realization all read it, and the other orientation is
-the cached one reversed.  A pair chain is then one canonical form per interior
-vertex.
+of the determinant is read off their diagonals.
+
+What is known of a pair of classes is kept once per unordered pair, in two
+levels.  Every pair asked anything gets ``rel`` and its exponents, read off
+the determinantal divisors of ``rel`` with no elimination; the distance and
+adjacency need nothing more.  Only a pair whose basis is read, by a pair
+chain with an interior vertex or by the residue strata of realization, runs
+the Smith elimination, and the other orientation is the kept one reversed.
+A pair chain is then one canonical form per interior vertex.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .series import (
     LaurentMatrix,
     LaurentScalar,
     _reduce_above_diagonal,
+    divisor_exponents,
     hermite_over_O,
     invert_upper_triangular,
     smith_form,
@@ -165,8 +170,8 @@ def distance(x, y):
     if x == y:
         return ZERO_WEIGHT
     if y < x:
-        return dual_weight([-e for e in _apartment_cached(y, x)[0]])
-    return dual_weight(_apartment_cached(x, y)[0])
+        return dual_weight([-e for e in _pair_cached(y, x).exponents()])
+    return dual_weight(_pair_cached(x, y).exponents())
 
 
 def adjacent(x, y):
@@ -219,17 +224,9 @@ def meet(x, y):
 
 
 def common_apartment(a, b):
-    """``(exps, g)`` with ``e_1 <= e_2 <= e_3``, ``L_a = <g_i>`` and ``L_b = <t^(e_i) g_i>``.
-
-    ``a`` and ``b`` are canonical forms (upper triangular with monomial
-    diagonal), so ``val det(a^-1 * b)`` is the sum of the diagonal exponents
-    of ``b`` minus that of ``a``; ``g`` is ``a`` times the Smith basis of
-    ``a^-1 * b``.
-    """
-    cols = [solve_upper_triangular(a, col) for col in b.columns()]
-    rel = LaurentMatrix.from_columns(a.field, cols)
-    exps, w = smith_form(rel, _det_val(b) - _det_val(a))
-    return exps, a * w
+    """``(exps, g)`` with ``e_1 <= e_2 <= e_3``, ``L_a = <g_i>`` and ``L_b = <t^(e_i) g_i>``,
+    for canonical forms ``a`` and ``b``."""
+    return _Pair(a, b).apartment()
 
 
 def _det_val(h):
@@ -237,23 +234,60 @@ def _det_val(h):
     return sum(h.entry(i, i).val() for i in range(3))
 
 
-# one polygon's hull reaches at most ~150 pairs; 4,096 entries hold ~18 MiB
+def _relative(a, b):
+    """``a^-1 * b`` for canonical forms, by triangular solves."""
+    return LaurentMatrix.from_columns(a.field, [solve_upper_triangular(a, c) for c in b.columns()])
+
+
+class _Pair:
+    """What is known of the lattices of two canonical forms ``a`` and ``b``.
+
+    ``rel = a^-1 * b`` and ``dval = val det rel`` are formed on creation: ``a`` and
+    ``b`` are upper triangular with monomial diagonal, so ``dval`` is the sum of the
+    diagonal exponents of ``b`` minus that of ``a``.  :meth:`exponents` reads the
+    elementary-divisor exponents of ``rel`` off its minors; :meth:`apartment` runs the
+    Smith elimination of ``rel`` once, keeps its exponents and ``g = a * w`` for its
+    basis ``w``, and lets ``rel`` go.
+    """
+
+    __slots__ = ("a", "rel", "dval", "exps", "g")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.rel = _relative(a, b)
+        self.dval = _det_val(b) - _det_val(a)
+        self.exps = self.g = None
+
+    def exponents(self):
+        if self.exps is None:
+            self.exps = divisor_exponents(self.rel, self.dval)
+        return self.exps
+
+    def apartment(self):
+        if self.g is None:
+            self.exps, w = smith_form(self.rel, self.dval)
+            self.g = self.a * w
+            self.rel = None
+        return self.exps, self.g
+
+
+# one polygon's hull reaches at most ~150 pairs; 4,096 entries hold ~14 MiB
 @lru_cache(maxsize=1 << 12)
-def _apartment_cached(x, z):
-    return common_apartment(x.basis, z.basis)
+def _pair_cached(x, z):
+    return _Pair(x.basis, z.basis)
 
 
 def class_apartment(x, z):
     """The common apartment of the classes ``x`` and ``z``, as :func:`common_apartment`
     of their bases, eliminated once per unordered pair.
 
-    The cached orientation is the sorted one.  From ``L_z = <g_i>``,
+    The kept orientation is the sorted one.  From ``L_z = <g_i>``,
     ``L_x = <t^(e_i) g_i>`` the other reads ``L_x = <h_i>``, ``L_z = <t^(-e_i) h_i>``
     with ``h_i = t^(e_i) g_i``, reversed so the exponents stay nondecreasing.
     """
     if not z < x:
-        return _apartment_cached(x, z)
-    exps, g = _apartment_cached(z, x)
+        return _pair_cached(x, z).apartment()
+    exps, g = _pair_cached(z, x).apartment()
     cols = [[f.shift(e) for f in col] for e, col in zip(exps, g.columns())]
     return (-exps[2], -exps[1], -exps[0]), LaurentMatrix.from_columns(g.field, cols[::-1])
 
@@ -281,10 +315,13 @@ def pair_chain(x, z, bound):
     increasing ``a`` (``bound=max``), sums for decreasing ``a`` (``bound=min``).
 
     Exactly the n + 1 shifts from ``-e_3`` to ``-e_1`` give distinct classes,
-    with ``x`` and ``z`` at the ends, where n = e_3 - e_1 = steps(d(x, z)).
+    with ``x`` and ``z`` at the ends, where n = e_3 - e_1 = steps(d(x, z)).  An
+    adjacent pair has no interior vertex, so it reads no basis.
     """
     if x == z:
         return [x]
+    if adjacent(x, z):
+        return [x, z]
     apartment = class_apartment(x, z)
     lo, hi = -apartment[0][2], -apartment[0][0]
     shifts = range(lo + 1, hi) if bound is max else range(hi - 1, lo, -1)

@@ -197,15 +197,12 @@ def induced_complex(vertices):
     """Induced flag complex on a vertex set.
 
     Edges are the pairs at distance omega_1 or omega_2; triangles are the
-    3-cliques of that graph.
+    3-cliques of that graph, each found from its first edge ``(i, j)`` as a
+    common neighbor ``k > j`` of ``i`` and ``j``.
     """
     verts = sorted(vertices)
-    edges = set()
-    for i, j in combinations(range(len(verts)), 2):
-        if adjacent(verts[i], verts[j]):
-            edges.add((i, j))
-    triangles = set()
-    for i, j, k in combinations(range(len(verts)), 3):
-        if (i, j) in edges and (i, k) in edges and (j, k) in edges:
-            triangles.add((i, j, k))
+    n = len(verts)
+    up = [{j for j in range(i + 1, n) if adjacent(verts[i], verts[j])} for i in range(n)]
+    edges = {(i, j) for i in range(n) for j in up[i]}
+    triangles = {(i, j, k) for i, j in edges for k in up[i] & up[j]}
     return SimplicialComplex2(verts, edges, triangles)

@@ -14,8 +14,8 @@ callers know ``val(det A)``; only generators from outside form a determinant.
 
 The two normal forms computed here are a column Hermite form over the
 valuation ring ``O = k[[t]]`` (canonical bases for lattices) and the
-elementary-divisor exponents of a nonsingular square matrix together with
-the basis that diagonalizes it (relative position of two lattices).  Neighbor
+elementary-divisor exponents of a nonsingular square matrix, read off its
+minors or found with the basis that diagonalizes it by elimination.  Neighbor
 steps build their bases in Hermite shape and run only its above-diagonal pass.
 Most operands met there are zero, a constant or one or two terms, so a product
 with a zero operand forms nothing, a constant unit is inverted without Newton
@@ -433,12 +433,10 @@ def _mul_trunc(a, u, order):
 
 
 def unit_inverse_trunc(f, order):
-    """Inverse of a valuation-zero scalar, correct modulo ``t^order``.
-
-    Newton iteration ``g <- g - g * (f * g - 1)`` doubles the precision each
-    round from the inverse of the constant term; ``f * g - 1`` vanishes below
-    the previous precision, so only its terms from there on are formed.
-    """
+    """Inverse of a valuation-zero scalar mod ``t^order``, by the Newton iteration
+    ``g <- g - g * (f * g - 1)`` from the inverse of the constant term.  The precision
+    doubles each round, and ``f * g - 1`` vanishes below the previous one, so only its
+    terms from there on are formed."""
     if f.val() != 0:
         raise ValueError("inverse requires a unit of valuation 0")
     field = f.field
@@ -457,19 +455,11 @@ def unit_inverse_trunc(f, order):
     return g
 
 
-def _column_sub(col, q, other, order):
-    """col - q * other, entrywise, truncated below ``t^order``."""
-    return [_sub_mul_trunc(a, q, b, order) for a, b in zip(col, other)]
-
-
 def truncation_order(mat):
-    """A working precision ``M`` with ``t^M * O^3`` inside the column span.
-
-    Picks the first nonsingular column triple ``A`` (by lexicographic column
-    indices) and returns ``val(det A) - 2 * minval(mat) + 1``.  Raises
-    :class:`RankDeficient` when no triple is nonsingular, i.e. when the
-    columns do not span ``K^3``.
-    """
+    """A working precision ``M`` with ``t^M * O^3`` inside the column span: for ``A`` the
+    first nonsingular column triple (by lexicographic column indices), ``val(det A) -
+    2 * minval(mat) + 1``.  Raises :class:`RankDeficient` when no triple is nonsingular,
+    i.e. when the columns do not span ``K^3``."""
     if mat.nrows != 3:
         raise ValueError("expected 3 rows")
     for triple in combinations(range(mat.ncols), 3):
@@ -492,9 +482,8 @@ def hermite_over_O(mat, det_val=None):
     OUTPUT: the unique 3 x 3 upper-triangular basis of the O-span of the
     columns whose diagonal entries are plain powers ``t^(a_i)`` and whose
     row-``i`` entries right of the diagonal are supported below ``t^(a_i)``.
-    Two generating sets span the same lattice iff their forms are equal.
-
-    Raises :class:`RankDeficient` when the columns do not span ``K^3``.
+    Two generating sets span the same lattice iff their forms are equal.  Raises
+    :class:`RankDeficient` when the columns do not span ``K^3``.
 
     The row for the pivot is chosen bottom-to-top; within a row the pivot
     is a minimal-valuation entry, ties to the leftmost column.  All column
@@ -529,7 +518,7 @@ def hermite_over_O(mat, det_val=None):
             if g.is_zero():
                 continue
             q = g.shift(-a)
-            cols[j] = _column_sub(cols[j], q, cols[best], order)
+            cols[j] = [_sub_mul_trunc(f, q, b, order) for f, b in zip(cols[j], cols[best])]
             cols[j][row] = zero
         pivot_for_row[row] = best
     return _reduce_above_diagonal(field, [cols[pivot_for_row[r]] for r in range(3)], order)
@@ -542,7 +531,7 @@ def _reduce_above_diagonal(field, cols, order):
         for i in range(j - 1, -1, -1):
             q, rem = cols[j][i].split_at(cols[i][i].val())
             if not q.is_zero():
-                cols[j] = _column_sub(cols[j], q, cols[i], order)
+                cols[j] = [_sub_mul_trunc(f, q, b, order) for f, b in zip(cols[j], cols[i])]
             cols[j][i] = rem
     return LaurentMatrix.from_columns(field, cols)
 
@@ -550,15 +539,13 @@ def _reduce_above_diagonal(field, cols, order):
 def smith_form(mat, det_val):
     """Elementary divisors of a nonsingular 3 x 3 matrix over O[t^-1], with a basis.
 
-    ``det_val`` is the valuation of ``det(mat)``, which callers know without
-    forming the determinant.  Returns ``(exps, basis)``: exponents
-    ``e_1 <= e_2 <= e_3`` and a matrix whose columns ``w_i`` are an O-basis of
-    ``O^3`` with the columns of ``mat`` spanning ``<t^(e_i) w_i>``.  Each row
-    operation is recorded inverted in ``basis`` (subtracting ``q`` times row
-    ``r`` from row ``i`` adds ``q * w_i`` to ``w_r``).  The elimination runs
-    modulo ``t^order``, which cannot move the double coset; ``basis`` is kept
-    modulo ``t^prec``, and ``prec`` exceeds ``e_3 - e_1``, so it cannot move
-    ``<t^(e_i) w_i>``.
+    ``det_val`` is ``val det(mat)``, which callers know without forming the determinant.
+    Returns ``(exps, basis)``: exponents ``e_1 <= e_2 <= e_3`` and a matrix whose columns
+    ``w_i`` are an O-basis of ``O^3`` with the columns of ``mat`` spanning ``<t^(e_i) w_i>``.
+    Each row operation is recorded inverted in ``basis`` (subtracting ``q`` times row ``r``
+    from row ``i`` adds ``q * w_i`` to ``w_r``).  The elimination runs modulo ``t^order``,
+    which cannot move the double coset; ``basis`` is kept modulo ``t^prec``, and ``prec``
+    exceeds ``e_3 - e_1``, so it cannot move ``<t^(e_i) w_i>``.
     """
     if mat.nrows != 3 or mat.ncols != 3:
         raise ValueError("expected a 3 x 3 matrix")
@@ -605,17 +592,35 @@ def smith_form(mat, det_val):
     return tuple(exps), LaurentMatrix.from_columns(field, [basis[i] for i in pivot_rows])
 
 
-def smith_exponents(mat):
-    """Elementary-divisor exponents of a nonsingular 3 x 3 matrix over O[t^-1].
+def divisor_exponents(mat, det_val):
+    """Exponents ``e_1 <= e_2 <= e_3`` of :func:`smith_form`, from the determinantal divisors
+    (Smith 1861; Newman, *Integral Matrices*, ch. II): ``e_1`` is the least valuation of an
+    entry, ``e_1 + e_2`` that ``s`` of a 2 x 2 minor ``ad - bc``, and ``e_2 <= e_3`` gives
+    ``s <= (det_val + e_1) / 2``.  A minor is formed, mod ``t^order`` just above that, only
+    when ``ad`` and ``bc`` have one valuation, which is below the least ``s`` so far."""
+    e1, r, s = mat.minval(), mat.rows, inf
+    order = (det_val + e1) // 2 + 1
+    for i, k in combinations(range(3), 2):
+        for j, l in combinations(range(3), 2):
+            a, d, b, c = r[i][j], r[k][l], r[i][l], r[k][j]
+            u, v = a.val() + d.val(), b.val() + c.val()
+            if u != v:
+                s = min(s, u, v)
+            elif u < s:
+                s = min(s, _sub_mul_trunc(_mul_trunc(a, d, order), b, c, order).val())
+    if s >= order:
+        raise InvariantViolated("no 2 x 2 minor survives its truncation order")
+    return e1, s - e1, det_val - s
 
-    Returns the descending triple ``(a_1 >= a_2 >= a_3)`` such that
-    ``U * mat * V = diag(t^a_3, t^a_2, t^a_1)`` for some matrices ``U, V``
-    invertible over ``O``.  Raises :class:`SingularMatrix` when ``det = 0``.
-    """
+
+def smith_exponents(mat):
+    """Descending elementary-divisor exponents ``a_1 >= a_2 >= a_3`` of a nonsingular
+    3 x 3 matrix over O[t^-1]: ``U * mat * V = diag(t^a_3, t^a_2, t^a_1)`` for some ``U, V``
+    invertible over ``O``.  Raises :class:`SingularMatrix` when ``det = 0``."""
     d = mat.det()
     if d.is_zero():
         raise SingularMatrix("matrix is singular over K")
-    return tuple(reversed(smith_form(mat, d.val())[0]))
+    return tuple(reversed(divisor_exponents(mat, d.val())))
 
 
 def solve_upper_triangular(tri, vec):

@@ -4,8 +4,30 @@ The octagon is the running example: type word 12121212, eight explicit
 lattices, and a growth diagram whose rows repeat with period two.
 """
 
+from sl3webs import building
 from sl3webs.building import class_from_generators
 from sl3webs.series import QQ, LaurentScalar
+
+
+def record_pair_work(monkeypatch):
+    """Empty the pair memo, then record each pair of classes whose ``rel`` is built and
+    each whose Smith basis is eliminated, as unordered pairs of basis keys."""
+    built, eliminated = [], []
+    relative, smith_form = building._relative, building.smith_form
+
+    def spy_relative(a, b):
+        rel = relative(a, b)
+        built.append((frozenset((a.key(), b.key())), rel))
+        return rel
+
+    def spy_smith(mat, det_val):
+        eliminated.append(next(pair for pair, rel in built if rel is mat))
+        return smith_form(mat, det_val)
+
+    monkeypatch.setattr(building, "_relative", spy_relative)
+    monkeypatch.setattr(building, "smith_form", spy_smith)
+    building._pair_cached.cache_clear()
+    return built, eliminated
 
 
 def octagon_columns(field=QQ):

@@ -10,7 +10,13 @@ import random
 import sys
 
 import pytest
-from fixtures import octagon_classes, square_web, theta_web, unorientable_diskoid_docs
+from fixtures import (
+    octagon_classes,
+    record_pair_work,
+    square_web,
+    theta_web,
+    unorientable_diskoid_docs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from webgen import reduction_corpus
@@ -711,14 +717,17 @@ def test_reduce_names_a_missing_or_repeated_dart(capsys, tmp_path, fault):
     assert err.startswith("error:") and message in err
 
 
-def test_apartment_cache_holds_one_polygon_working_set(capsys, tmp_path):
+def test_apartment_cache_holds_one_polygon_working_set(capsys, tmp_path, monkeypatch):
     """The octagon's ``hull --conv`` and one length-8 cross-validation use a
-    small fraction of the common-apartment cache."""
-    cache = sl3webs.building._apartment_cached
-    cache.cache_clear()
+    small fraction of the pair memo.  Each pair it holds builds ``rel`` once, and
+    fewer of them run a Smith elimination, each once."""
+    built, eliminated = record_pair_work(monkeypatch)
+    cache = sl3webs.building._pair_cached
     code, _out, _err = invoke(capsys, "hull", "--conv", octagon_polygon_file(tmp_path))
     assert code == 0
     rng = derived_rng(0, "verify", "12121212", 8)
     assert cross_validate(enumerate_diagrams("12121212")[8], rng)
     info = cache.cache_info()
     assert 0 < info.currsize <= info.maxsize // 16
+    assert len(built) == len({pair for pair, _rel in built}) == info.misses == info.currsize
+    assert 0 < len(eliminated) == len(set(eliminated)) < len(built)

@@ -5,9 +5,9 @@ from contextlib import redirect_stdout
 from itertools import combinations
 
 import pytest
-from fixtures import octagon_classes, octagon_hull_extras
+from fixtures import octagon_classes, octagon_hull_extras, record_pair_work
 
-from sl3webs import building, hulls, series
+from sl3webs import hulls
 from sl3webs.building import (
     OMEGA1,
     OMEGA2,
@@ -210,37 +210,48 @@ def test_fastpath_octagon():
 
 
 def test_one_elimination_per_pair_of_classes(monkeypatch):
-    """Distances, both pair hulls and their reverse orientations all read one
-    cached common apartment: the octagon's hull and complex run one Smith
-    elimination per distinct unordered pair of classes they touch."""
-    calls = []
-    smith_form = series.smith_form
-
-    def counted(mat, det_val):
-        calls.append(mat)
-        return smith_form(mat, det_val)
-
-    monkeypatch.setattr(series, "smith_form", counted)
-    monkeypatch.setattr(building, "smith_form", counted)
-    building._apartment_cached.cache_clear()
+    """Every pair of classes the octagon's hull and complex touch builds ``rel`` once and
+    reads its exponents off the minors.  Only a pair whose chain has an interior vertex
+    runs a Smith elimination, once; reverse orientations and repeats read the memo."""
+    built, eliminated = record_pair_work(monkeypatch)
     L = octagon_classes()
     path = [L[i] for i in range(1, 9)] + [L[1]]
     hull = path_hull_fastpath(path)
     cx = induced_complex(hull)
+
+    def keys(pairs):
+        return {frozenset(v.key() for v in p) for p in pairs}
+
+    def chained(x, y):
+        return steps(distance(x, y)) > 1
+
     # every pair the two calls look at: consecutive path vertices, all pairs of
-    # path vertices, all pairs of hull vertices
+    # path vertices, all pairs of hull vertices; conv_pair reads a chain only for
+    # a pure distance
     pairs = {frozenset(p) for p in zip(path, path[1:])}
     pairs |= {frozenset(p) for p in combinations(set(path), 2)}
     pairs |= {frozenset(p) for p in combinations(hull, 2)}
+    pure = [
+        (x, y)
+        for x, y in combinations(set(path), 2)
+        if not all(weight_components(distance(x, y))) and chained(x, y)
+    ]
     assert len(hull) == len(cx.vertices) > 8
-    assert len(calls) == len(pairs) == len(hull) * (len(hull) - 1) // 2
-    # reverse orientations and repeats are read off the cache
+    assert len(built) == len(pairs) == len(hull) * (len(hull) - 1) // 2
+    assert {pair for pair, _rel in built} == keys(pairs)
+    assert len(eliminated) == len(set(eliminated)) == len(pure) > 0
+    assert set(eliminated) == keys(pure)
+    # reverse orientations and repeats are read off the memo; a chain is asked
+    # of every pair, so each pair with an interior vertex is eliminated once
     for x, y in combinations(hull, 2):
         distance(y, x)
         assert maxconv_chain(y, x) == maxconv_chain(x, y)[::-1]
         assert minconv_chain(y, x) == minconv_chain(x, y)[::-1]
     assert induced_complex(path_hull_fastpath(path)).counts() == cx.counts()
-    assert len(calls) == len(pairs)
+    assert len(built) == len(pairs)
+    with_interior = [p for p in combinations(hull, 2) if chained(*p)]
+    assert len(eliminated) == len(set(eliminated)) == len(with_interior) < len(pairs)
+    assert set(eliminated) == keys(with_interior)
 
 
 def test_fastpath_random_paths():

@@ -4,7 +4,7 @@ from math import inf
 
 import pytest
 
-from sl3webs.errors import RankDeficient, SingularMatrix
+from sl3webs.errors import InvariantViolated, RankDeficient, SingularMatrix
 from sl3webs.series import (
     GF,
     QQ,
@@ -12,6 +12,7 @@ from sl3webs.series import (
     LaurentScalar,
     _mul_trunc,
     _sub_mul_trunc,
+    divisor_exponents,
     hermite_over_O,
     invert_upper_triangular,
     smith_exponents,
@@ -212,6 +213,32 @@ def test_smith_unimodular_invariance():
         assert smith_exponents(u * m) == e
         assert smith_exponents(m * v) == e
         assert smith_exponents(u * m * v) == e
+
+
+@pytest.mark.parametrize("shift", [0, -2, 3])
+def test_minors_survive_their_truncation_when_lowest_terms_cancel(shift):
+    # unshifted, the least 2 x 2 minor is rows, columns (0, 1): 1 * (1 + t^2 + t^5) - 1 * 1,
+    # whose constant terms cancel; every other minor has valuation 3 or more.  The bound
+    # (det_val + e_1) // 2 + 1 = 3 keeps its t^2 and drops its t^5.
+    for field in (QQ, F7):
+        one, zero = LaurentScalar.one(field), LaurentScalar.zero(field)
+        rows = [[one, one, zero], [one, S(field, {0: 1, 2: 1, 5: 1}), zero]]
+        rel = LaurentMatrix(field, rows + [[zero, zero, mono(field, 3)]]).shift(shift)
+        det_val = 5 + 3 * shift
+        corner = rel.entry(0, 0) * rel.entry(1, 1) - rel.entry(0, 1) * rel.entry(1, 0)
+        order = (det_val + shift) // 2 + 1
+        assert corner.val() == 2 + 2 * shift < order <= max(corner.terms)
+        want = (shift, 2 + shift, 3 + shift)
+        assert divisor_exponents(rel, det_val) == smith_form(rel, det_val)[0] == want
+        assert smith_exponents(rel) == want[::-1] == minors_oracle(rel)
+
+
+def test_minors_below_a_wrong_truncation_raise_invariant_violated():
+    # val det is 9, not 0: every minor lies above the order the wrong value gives
+    m = LaurentMatrix.scalar_diag(F7, [3, 3, 3])
+    assert divisor_exponents(m, 9) == (3, 3, 3)
+    with pytest.raises(InvariantViolated, match="2 x 2 minor"):
+        divisor_exponents(m, 0)
 
 
 def test_smith_sum_is_det_valuation():

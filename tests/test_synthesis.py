@@ -650,6 +650,29 @@ def verify_stream_components(max_len):
                 yield g, derived_rng(0, "verify", text, k)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(DEFAULT_PRIME)], ids=repr)
+def test_minors_give_the_smith_exponents_on_every_pair_of_the_stream(field, monkeypatch):
+    # every pair of classes the length-7 stream asks anything, over each field,
+    # has the exponents of its determinantal divisors equal to smith_form's
+    relative = building._relative
+    pairs = []
+
+    def spy(a, b):
+        rel = relative(a, b)
+        det_val = building._det_val(b) - building._det_val(a)
+        assert series.divisor_exponents(rel, det_val) == series.smith_form(rel, det_val)[0]
+        pairs.append(rel)
+        return rel
+
+    monkeypatch.setattr(building, "_relative", spy)
+    building._pair_cached.cache_clear()
+    count = 0
+    for g, rng in verify_stream_components(7):
+        assert cross_validate(g, rng, field=field)
+        count += 1
+    assert count == 638 and len(pairs) > 2000
+
+
 #: SHA-1 of the realized polygons of every component up to length 6 over
 #: GF(10007), one ``json.dumps(..., sort_keys=True)`` of the lattice JSON
 #: per polygon.  Any change to the lattice arithmetic that moves a class
