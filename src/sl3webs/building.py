@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf
 
-from .errors import InvariantViolated, MalformedJSON, PreconditionViolated, json_fields
+from .errors import MalformedJSON, PreconditionViolated, json_fields
 from .series import (
     QQ,
     CoefficientField,
@@ -180,6 +180,8 @@ def adjacent(x, y):
 
 def lattice_contains(basis, vec):
     """Whether a column vector lies in the lattice with the given canonical basis."""
+    if any(c.field != basis.field for c in vec):
+        raise TypeError("mixed scalar domains")
     return all(
         c.is_zero() or c.val() >= 0 for c in solve_upper_triangular(basis, vec)
     )
@@ -353,11 +355,7 @@ def common_neighbor(x, y, z):
         raise PreconditionViolated(
             "x and z are not at distance omega_1 + omega_2"
         )
-    n = chain[1]
-    for v in (x, y, z):
-        if not adjacent(n, v):
-            raise InvariantViolated("constructed vertex fails adjacency")
-    return n
+    return chain[1]
 
 
 def _sample_coeff(field, rng):
@@ -436,8 +434,6 @@ def random_step(x, w, rng):
         y = step_to_plane(x, _sample_nonzero_vector(field, rng))
     else:
         raise PreconditionViolated(f"step weight must be omega_1 or omega_2, got {w}")
-    if distance(x, y) != w:
-        raise InvariantViolated("random step failed its distance postcondition")
     return y
 
 

@@ -25,6 +25,9 @@ Invariant: every stored coefficient is normalized (a ``Fraction`` over Q,
 an int in ``range(p)`` over F_p) and nonzero.  The public constructors
 normalize what they are given; results computed inside the library are
 trusted and wrapped by ``LaurentScalar._trusted`` without a second pass.
+Scalar domains are checked where scalars meet from outside, by the scalar
+operators ``+ - *`` and by the :class:`LaurentMatrix` constructor, once per
+entry; the product kernels trust their operands.
 """
 
 from __future__ import annotations
@@ -125,6 +128,9 @@ QQ = CoefficientField()
 
 DEFAULT_PRIME = 10007
 
+#: Largest ``|e|`` of a Laurent term read from JSON; README "File formats" gives its cost.
+MAX_JSON_EXPONENT = 50
+
 
 def GF(p):
     """Return the prime field with ``p`` elements."""
@@ -151,15 +157,13 @@ class LaurentScalar:
             c = field.normalize(c)
             if c != 0:
                 clean[int(e)] = c
-        self.field = field
-        self.terms = clean
+        self.field, self.terms = field, clean
 
     @classmethod
     def _trusted(cls, field, terms):
         """Wrap ``terms`` whose coefficients are already normalized and nonzero."""
         scalar = object.__new__(cls)
-        scalar.field = field
-        scalar.terms = terms
+        scalar.field, scalar.terms = field, terms
         return scalar
 
     @classmethod
@@ -261,10 +265,7 @@ class LaurentScalar:
         return " + ".join(f"{self.terms[e]}*t^{e}" for e in sorted(self.terms))
 
     def to_json(self):
-        return [
-            {"e": e, "c": self.field.coeff_to_json(self.terms[e])}
-            for e in sorted(self.terms)
-        ]
+        return [{"e": e, "c": self.field.coeff_to_json(c)} for e, c in sorted(self.terms.items())]
 
     @classmethod
     def from_json(cls, field, obj):
@@ -273,6 +274,8 @@ class LaurentScalar:
         terms = {}
         for t in obj:
             (e,) = json_fields(t, "Laurent term", e=int)
+            if abs(e) > MAX_JSON_EXPONENT:
+                raise MalformedJSON(f"Laurent term field 'e' must have |e| <= {MAX_JSON_EXPONENT}")
             if e in terms:
                 raise MalformedJSON(f"Laurent term field 'e' repeats the exponent {e}")
             if "c" not in t:
@@ -295,23 +298,24 @@ class LaurentMatrix:
 
     def __init__(self, field, rows):
         rows = tuple(tuple(r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            for r in rows:
-                if len(r) != width:
-                    raise ValueError("ragged rows")
-        self.field = field
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        self.rows = rows
+        width = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != width:
+                raise ValueError("ragged rows")
+            for f in r:
+                if f.field is not field and f.field != field:
+                    raise TypeError("mixed scalar domains")
+        self.field, self.nrows, self.ncols, self.rows = field, len(rows), width, rows
 
     @classmethod
     def from_columns(cls, field, cols):
         cols = [tuple(c) for c in cols]
         if not cols:
             raise ValueError("no columns")
-        nrows = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
+        try:
+            return cls(field, zip(*cols, strict=True))
+        except ValueError:
+            raise ValueError(f"ragged columns of lengths {[len(c) for c in cols]}") from None
 
     @classmethod
     def identity(cls, field, n=3):
@@ -400,12 +404,11 @@ def _reduced(field, raw):
 
 def _fused(field, out, pairs, order=inf, sub=False):
     """The one product kernel: ``out + sum(f * g for f, g in pairs)`` mod ``t^order``, minus
-    the sum when ``sub``; ``out`` is a raw dict of terms below ``order``.  Each pair is
-    checked for its domain, no term at or above ``order`` is formed, and the sum is
+    the sum when ``sub``; ``out`` is a raw dict of terms below ``order``.  The pairs are
+    trusted to be over ``field``, no term at or above ``order`` is formed, and the sum is
     reduced once."""
     get = out.get
     for f, g in pairs:
-        f._check(g)
         items = g.terms.items()
         for e1, c1 in f.terms.items():
             if sub:
@@ -420,8 +423,6 @@ def _fused(field, out, pairs, order=inf, sub=False):
 
 def _sub_mul_trunc(a, q, b, order):
     """``(a - q * b) mod t^order``, forming no product at or above ``order``."""
-    a._check(q)
-    a._check(b)
     if not (q.terms and b.terms):
         return a.truncate(order)
     return _fused(a.field, {e: c for e, c in a.terms.items() if e < order}, ((q, b),), order, True)
@@ -463,8 +464,7 @@ def truncation_order(mat):
     if mat.nrows != 3:
         raise ValueError("expected 3 rows")
     for triple in combinations(range(mat.ncols), 3):
-        sub = LaurentMatrix.from_columns(mat.field, [mat.column(j) for j in triple])
-        d = sub.det()
+        d = LaurentMatrix.from_columns(mat.field, [mat.column(j) for j in triple]).det()
         if not d.is_zero():
             return d.val() - 2 * mat.minval() + 1
     raise RankDeficient("columns do not span K^3")
@@ -555,10 +555,8 @@ def smith_form(mat, det_val):
     field = mat.field
     grid = [[mat.entry(i, j).truncate(order) for j in range(3)] for i in range(3)]
     basis = LaurentMatrix.identity(field).columns()
-    rows = [0, 1, 2]
-    cols = [0, 1, 2]
-    exps = []
-    pivot_rows = []
+    rows, cols = [0, 1, 2], [0, 1, 2]
+    exps, pivot_rows = [], []
     while rows:
         pi, pj = None, None
         for i in rows:

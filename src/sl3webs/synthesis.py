@@ -20,8 +20,6 @@ realization into a diskoid and checks that its dual web is the
 combinatorial one.
 """
 
-import random
-
 from .building import (
     OMEGA1,
     OMEGA2,
@@ -596,7 +594,7 @@ def realize_polygon(d, rng, retry_cap=1000, field=None):
 # -- cross-validation ----------------------------------------------------------
 
 
-def cross_validate(d, rng=None, retry_cap=1000, field=None):
+def cross_validate(d, rng, retry_cap=1000, field=None):
     """True when the geometric hull of a realization has the diskoid's dual web.
 
     Realizes the diagram, computes the hull of the polygon classes along
@@ -610,8 +608,6 @@ def cross_validate(d, rng=None, retry_cap=1000, field=None):
     its boundary regions the walk positions.
     :class:`~sl3webs.errors.RealizationFailed` propagates.
     """
-    if rng is None:
-        rng = random.Random(0)
     poly = realize_polygon(d, rng, retry_cap, field)
     cx = induced_complex(path_hull_fastpath(list(poly.classes)))
     index_of = {v: k for k, v in enumerate(cx.vertices)}

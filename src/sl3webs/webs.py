@@ -19,6 +19,10 @@ encoding read off those ids, and builds a ``Web`` only for a new term.
 
 from .errors import InvariantViolated, MalformedDiskoid, MalformedJSON, json_fields
 
+#: Largest ``free_loops`` a web may carry in JSON: ``3 ** 1000`` has 478 digits, so the
+#: coefficient prints well inside Python's 4,300-digit limit on ``int`` to ``str``.
+MAX_FREE_LOOPS = 1000
+
 __all__ = [
     "Diskoid",
     "Web",
@@ -702,6 +706,8 @@ class Diskoid:
             if t == 0 and set(c) != {(e[0], e[1]), (e[1], e[0])}:
                 raise MalformedDiskoid(f"pendant edge {e} not walked in both directions")
 
+        if self.n_vertices > 2 * len(self.edges):
+            raise MalformedDiskoid("isolated vertex")
         incident = {v: set() for v in range(self.n_vertices)}
         for u, v in self.edges:
             incident[u].add(v)
@@ -851,6 +857,8 @@ def _ids(xs, bound, length=None):
 def web_from_json(obj):
     recs, edges, boundary = json_fields(obj, "web", rotations=list, edges=list, boundary=list)
     free_loops = json_fields(obj, "web", free_loops=int)[0] if "free_loops" in obj else 0
+    if free_loops > MAX_FREE_LOOPS:
+        raise MalformedJSON(f"web field 'free_loops' must be at most {MAX_FREE_LOOPS}")
     n, m = len(recs), len(edges)
     if not all(_ids(e, n, 2) for e in edges):
         raise MalformedJSON(f"web field 'edges' must hold [source, target] vertex pairs below {n}")

@@ -333,6 +333,26 @@ def test_field_is_part_of_class_identity():
         assert (a < b) == (a.key() < b.key()) and (b < a) == (b.key() < a.key())
 
 
+def test_a_foreign_field_is_refused_where_it_enters():
+    q, f7 = LatticeClass.standard(QQ), diag_class(GF(7), (0, 1, 2))
+    f7_cols = f7.basis.columns()
+    with pytest.raises(TypeError, match="mixed scalar domains"):
+        class_from_generators(f7_cols, QQ)
+    with pytest.raises(TypeError, match="mixed scalar domains"):
+        class_from_generators(q.basis.columns()[:2] + f7_cols[2:])
+    with pytest.raises(TypeError, match="mixed scalar domains"):
+        lattice_meet(q.basis, f7.basis)
+    with pytest.raises(ValueError, match="shape or domain mismatch"):
+        lattice_join(q.basis, f7.basis)
+    for ask in (distance, adjacent):
+        for x, y in ((q, f7), (f7, q)):
+            with pytest.raises(TypeError, match="mixed scalar domains"):
+                ask(x, y)
+    with pytest.raises(TypeError, match="mixed scalar domains"):
+        lattice_contains(q.basis, f7_cols[0])
+    assert lattice_contains(q.basis, q.basis.columns()[0])
+
+
 def dual_meet(a, b):
     """L_a meet L_b through duality: (L_a meet L_b)* = L_a* + L_b*."""
     return lattice_dual(lattice_join(lattice_dual(a), lattice_dual(b)))

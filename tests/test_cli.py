@@ -8,6 +8,7 @@ import json
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 from fixtures import (
@@ -25,9 +26,10 @@ import sl3webs
 from sl3webs.building import distance, lattice_to_json
 from sl3webs.cli import derived_rng, run
 from sl3webs.growth import diagram_from_json, enumerate_diagrams
-from sl3webs.series import DEFAULT_PRIME, GF
+from sl3webs.series import DEFAULT_PRIME, GF, MAX_JSON_EXPONENT
 from sl3webs.synthesis import cross_validate, diskoid_from_diagram
 from sl3webs.webs import (
+    MAX_FREE_LOOPS,
     diskoid_to_json,
     dualize,
     iso,
@@ -188,13 +190,14 @@ def _corruption_targets():
     ]
 
 
-# Integers stay within +-8: one can land on an exponent, and the series
-# precision of a lattice grows with the spread of its exponents, so a
-# corrupt exponent of 10**6 is slow to process without being an error.
+# Small integers keep most corrupt documents readable.  A huge one can land
+# on an exponent, ``free_loops``, ``n_vertices`` or a modulus, whose bounds
+# refuse it at once; anywhere else it must be refused or read quickly.
 JSON_LEAVES = (
     st.none()
     | st.booleans()
     | st.integers(-8, 8)
+    | st.sampled_from([10**6, 10**30, -(10**30)])
     | st.sampled_from([0.5, -2.0, 1e300])
     | st.sampled_from(["", "0", "1", "-3/4", "x", "Q", "Fp"])
 )
@@ -538,6 +541,57 @@ def test_a_scalar_that_is_not_a_list_of_terms_is_named(capsys, tmp_path, entry, 
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "Error(" not in err
     assert f"Laurent scalar must be a list of terms, got {kind}" in err
+
+
+def timed_invoke(capsys, *argv):
+    """:func:`invoke`, asserting that the command returns within a second."""
+    start = time.perf_counter()
+    result = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+@pytest.mark.parametrize("e", [10**9, 10**30, -(10**30), MAX_JSON_EXPONENT + 1])
+@pytest.mark.parametrize(
+    "argv", [("distance", "0", "1"), ("hull", "--conv")], ids=["distance", "hull"]
+)
+def test_exponents_beyond_the_bound_are_refused_at_once(capsys, tmp_path, argv, e):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps([_diagonal_lattice(7, 0), _diagonal_lattice(7, e)]))
+    code, out, err = timed_invoke(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"field 'e' must have |e| <= {MAX_JSON_EXPONENT}" in err
+
+
+def test_exponents_at_the_bound_are_read(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    lattices = [_diagonal_lattice(7, -MAX_JSON_EXPONENT), _diagonal_lattice(7, MAX_JSON_EXPONENT)]
+    path.write_text(json.dumps(lattices))
+    code, out, err = timed_invoke(capsys, "distance", str(path), "0", "1")
+    assert (code, err) == (0, "") and json.loads(out) == [2 * MAX_JSON_EXPONENT] * 2 + [0]
+
+
+def test_free_loops_beyond_the_bound_are_refused_at_once(capsys, tmp_path):
+    path = tmp_path / "loops.json"
+    web = {"edges": [], "rotations": [], "boundary": []}
+    path.write_text(json.dumps({**web, "free_loops": MAX_FREE_LOOPS}))
+    code, out, err = timed_invoke(capsys, "reduce", str(path))
+    assert (code, err) == (0, "") and str(3**MAX_FREE_LOOPS) in out
+    path.write_text(json.dumps({**web, "free_loops": 10**8}))
+    code, out, err = timed_invoke(capsys, "reduce", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: web field 'free_loops' must be at most {MAX_FREE_LOOPS}\n"
+
+
+def test_vertices_beyond_the_edges_are_refused_at_once(capsys, tmp_path):
+    """A declared vertex that no edge reaches is isolated; the diskoid is refused
+    before any per-vertex table is built."""
+    path = tmp_path / "diskoid.json"
+    doc = {"n_vertices": 10**7, "arrows": [[0, 1]], "triangles": [], "boundary_walk": [0, 1]}
+    path.write_text(json.dumps(doc))
+    code, out, err = timed_invoke(capsys, "dualize", str(path))
+    assert (code, out, err) == (1, "", "error: isolated vertex\n")
 
 
 @pytest.mark.parametrize("name", sorted(unorientable_diskoid_docs()))

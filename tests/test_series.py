@@ -435,12 +435,37 @@ def test_mixed_fields_raise():
             a - b
         with pytest.raises(TypeError, match="mixed scalar domains"):
             a * b
-        with pytest.raises(TypeError, match="mixed scalar domains"):
-            _sub_mul_trunc(a, a, b, 3)
-        with pytest.raises(TypeError, match="mixed scalar domains"):
-            _mul_trunc(a, b, 3)
     # equal fields that are different objects still mix freely
     assert (f + S(GF(7), {0: 6})).terms == {1: 2}
+
+
+def test_a_foreign_field_entry_is_refused_where_it_enters():
+    one, zero = LaurentScalar.one(QQ), LaurentScalar.zero(QQ)
+    rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    f7_rows = [[S(F7, {0: 1}) if i == j else LaurentScalar.zero(F7) for j in range(3)]
+               for i in range(3)]
+    mixed = [row[:] for row in rows]
+    mixed[1][2] = S(F7, {1: 3})
+    for bad in (f7_rows, mixed):
+        with pytest.raises(TypeError, match="mixed scalar domains"):
+            LaurentMatrix(QQ, bad)
+        with pytest.raises(TypeError, match="mixed scalar domains"):
+            LaurentMatrix.from_columns(QQ, bad)
+        with pytest.raises(TypeError, match="mixed scalar domains"):
+            hermite_over_O(cols_matrix(QQ, bad))
+    # equal fields that are different objects are one domain
+    assert LaurentMatrix(GF(7), f7_rows).field == F7
+
+
+def test_ragged_columns_are_refused_with_their_lengths():
+    one, zero = LaurentScalar.one(QQ), LaurentScalar.zero(QQ)
+    for cols, lengths in (
+        ([[one, zero, zero], [zero, one, zero, one], [zero, zero, one]], "[3, 4, 3]"),
+        ([[one, zero, zero], [zero, one], [zero, zero, one]], "[3, 2, 3]"),
+    ):
+        with pytest.raises(ValueError) as info:
+            LaurentMatrix.from_columns(QQ, cols)
+        assert str(info.value) == f"ragged columns of lengths {lengths}"
 
 
 # -- the generic kernels, kept as oracles for the fast paths -------------------
@@ -621,12 +646,6 @@ def test_zero_operands_still_check_the_domain():
     for a, b in ((zero, other), (other, zero), (f, LaurentScalar.zero(QQ))):
         with pytest.raises(TypeError, match="mixed scalar domains"):
             a * b
-    with pytest.raises(TypeError, match="mixed scalar domains"):
-        _sub_mul_trunc(f, zero, other, 3)
-    with pytest.raises(TypeError, match="mixed scalar domains"):
-        _sub_mul_trunc(f, other, zero, 3)
-    with pytest.raises(TypeError, match="mixed scalar domains"):
-        _sub_mul_trunc(f, f, LaurentScalar.zero(GF(3)), 3)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
