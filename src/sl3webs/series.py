@@ -299,12 +299,15 @@ class LaurentMatrix:
     def __init__(self, field, rows):
         rows = tuple(tuple(r) for r in rows)
         width = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("ragged rows")
-            for f in r:
-                if f.field is not field and f.field != field:
-                    raise TypeError("mixed scalar domains")
+        try:
+            for r in rows:
+                if len(r) != width:
+                    raise ValueError("ragged rows")
+                for f in r:
+                    if f.field is not field and f.field != field:
+                        raise TypeError("mixed scalar domains")
+        except AttributeError:
+            raise TypeError(f"matrix entry is {type(f).__name__}, not LaurentScalar") from None
         self.field, self.nrows, self.ncols, self.rows = field, len(rows), width, rows
 
     @classmethod

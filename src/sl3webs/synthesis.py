@@ -26,11 +26,10 @@ from .building import (
     ZERO_WEIGHT,
     LatticeClass,
     _apartment_form,
-    _dual,
-    _normalized_class,
     _sample_coeff,
     class_apartment,
     distance,
+    dual,
     dual_weight,
     letter_weight,
     random_step,
@@ -462,15 +461,6 @@ def _conditioned_line(x, anchor, target, rng):
     return None
 
 
-def _dual_class(x, duals):
-    """The dual class of ``x``, remembered in ``duals`` both ways (``x`` is its dual's dual)."""
-    y = duals.get(x)
-    if y is None:
-        duals[x] = y = _normalized_class(_dual(x.basis))
-        duals[y] = x
-    return y
-
-
 def conditioned_step(x, letter, anchor, target, rng):
     """A random neighbor of ``x`` at a prescribed distance from an anchor.
 
@@ -486,16 +476,9 @@ def conditioned_step(x, letter, anchor, target, rng):
     compatible with the target, or None when no stratum is.  Steps of type
     2 are reduced to type 1 on the dual lattices, which reverse distances.
     """
-    return _conditioned_step(x, letter, anchor, target, rng, {})
-
-
-def _conditioned_step(x, letter, anchor, target, rng, duals):
-    """:func:`conditioned_step`, with the dual classes kept in ``duals``."""
     if letter == 2:
-        yd = _conditioned_line(
-            _dual_class(x, duals), _dual_class(anchor, duals), dual_weight(target), rng
-        )
-        return None if yd is None else _dual_class(yd, duals)
+        yd = _conditioned_line(dual(x), dual(anchor), dual_weight(target), rng)
+        return None if yd is None else dual(yd)
     return _conditioned_line(x, anchor, target, rng)
 
 
@@ -530,7 +513,7 @@ class RealizedPolygon:
         return f"RealizedPolygon({self.diagram!r})"
 
 
-def _attempt_realization(d, rng, field, duals):
+def _attempt_realization(d, rng, field):
     n = d.n
     w = d.word
     x = [None] * (n + 1)
@@ -539,14 +522,14 @@ def _attempt_realization(d, rng, field, duals):
         x[2] = random_step(x[1], letter_weight(w[0]), rng)
         return x[1:]
     for j in range(2, n - 1):
-        x[j] = _conditioned_step(x[j - 1], w[j - 2], x[1], _weight(d.entry(1, j)), rng, duals)
+        x[j] = conditioned_step(x[j - 1], w[j - 2], x[1], _weight(d.entry(1, j)), rng)
         if x[j] is None:
             return None
-    x[n] = _conditioned_step(x[1], 3 - w[n - 1], x[n - 2], _weight(d.entry(n - 2, n)), rng, duals)
+    x[n] = conditioned_step(x[1], 3 - w[n - 1], x[n - 2], _weight(d.entry(n - 2, n)), rng)
     if x[n] is None:
         return None
-    x[n - 1] = _conditioned_step(
-        x[n - 2], w[n - 3], x[n], dual_weight(letter_weight(w[n - 2])), rng, duals
+    x[n - 1] = conditioned_step(
+        x[n - 2], w[n - 3], x[n], dual_weight(letter_weight(w[n - 2])), rng
     )
     return None if x[n - 1] is None else x[1:]
 
@@ -569,7 +552,7 @@ def realize_polygon(d, rng, retry_cap=1000, field=None):
     condition discards the attempt, and so does a polygon that
     :class:`RealizedPolygon` rejects: over a small field a draw that meets
     every condition can still bring two other vertices too close.  Dual
-    classes are remembered across the attempts of this call only.
+    classes come from :func:`~sl3webs.building.dual`, remembered across calls.
     Raises :class:`~sl3webs.errors.RealizationFailed` when the cap runs
     out.
     """
@@ -577,9 +560,8 @@ def realize_polygon(d, rng, retry_cap=1000, field=None):
         raise PreconditionViolated("retry_cap must be at least 1")
     if field is None:
         field = GF(DEFAULT_PRIME)
-    duals = {}
     for _ in range(retry_cap):
-        classes = _attempt_realization(d, rng, field, duals)
+        classes = _attempt_realization(d, rng, field)
         if classes is None:
             continue
         try:

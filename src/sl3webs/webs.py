@@ -636,7 +636,6 @@ class Diskoid:
       form a directed 3-cycle
     - ``boundary_walk`` -- closed walk (basepoint first) traversing every
       edge side not shared between two triangles; may revisit vertices
-    - ``labels`` -- optional per-vertex payload
 
     Raises :class:`MalformedDiskoid` when the data is not a disk-shaped
     complex (triangle patches and pendant edges glued into a contractible
@@ -644,17 +643,13 @@ class Diskoid:
     its counterclockwise vertex cycle, from :func:`_oriented_triangles`.
     """
 
-    __slots__ = ("n_vertices", "arrows", "edges", "triangles", "boundary_walk", "labels",
-                 "cycles")
+    __slots__ = ("n_vertices", "arrows", "edges", "triangles", "boundary_walk", "cycles")
 
-    def __init__(self, n_vertices, arrows, triangles, boundary_walk, labels=None):
+    def __init__(self, n_vertices, arrows, triangles, boundary_walk):
         self.n_vertices = int(n_vertices)
         self.arrows = tuple(tuple(a) for a in arrows)
         self.triangles = frozenset(tuple(sorted(t)) for t in triangles)
         self.boundary_walk = tuple(boundary_walk)
-        self.labels = None if labels is None else tuple(labels)
-        if self.labels is not None and len(self.labels) != self.n_vertices:
-            raise MalformedDiskoid(f"{len(self.labels)} labels for {self.n_vertices} vertices")
 
         edges = set()
         for u, v in self.arrows:
@@ -706,23 +701,11 @@ class Diskoid:
             if t == 0 and set(c) != {(e[0], e[1]), (e[1], e[0])}:
                 raise MalformedDiskoid(f"pendant edge {e} not walked in both directions")
 
-        if self.n_vertices > 2 * len(self.edges):
+        # each edge is walked or lies in two triangles, and _oriented_triangles
+        # refuses a triangle it cannot reach from the walk across shared sides,
+        # so every vertex on an edge is joined to the walk
+        if len({v for e in self.edges for v in e}) != self.n_vertices:
             raise MalformedDiskoid("isolated vertex")
-        incident = {v: set() for v in range(self.n_vertices)}
-        for u, v in self.edges:
-            incident[u].add(v)
-            incident[v].add(u)
-        if any(not nb for nb in incident.values()):
-            raise MalformedDiskoid("isolated vertex")
-        seen = {0} if self.n_vertices else set()
-        stack = [0] if self.n_vertices else []
-        while stack:
-            for u in incident[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != self.n_vertices:
-            raise MalformedDiskoid("1-skeleton is disconnected")
         self.cycles = _oriented_triangles(self, sides)
 
     @property
@@ -880,29 +863,25 @@ def web_from_json(obj):
 
 
 def diskoid_to_json(d):
-    out = {
+    return {
         "n_vertices": d.n_vertices,
         "arrows": [list(a) for a in d.arrows],
         "triangles": sorted(list(t) for t in d.triangles),
         "boundary_walk": list(d.boundary_walk),
     }
-    if d.labels is not None:
-        out["labels"] = list(d.labels)
-    return out
 
 
 def diskoid_from_json(obj):
     n, arrows, triangles, walk = json_fields(
         obj, "diskoid", n_vertices=int, arrows=list, triangles=list, boundary_walk=list
     )
-    labels = json_fields(obj, "diskoid", labels=list)[0] if "labels" in obj else None
     if not all(_ids(a, n, 2) for a in arrows):
         raise MalformedJSON(f"diskoid field 'arrows' must hold vertex pairs below {n}")
     if not all(_ids(t, n, 3) for t in triangles):
         raise MalformedJSON(f"diskoid field 'triangles' must hold vertex triples below {n}")
     if not _ids(walk, n):
         raise MalformedJSON(f"diskoid field 'boundary_walk' must hold vertex ids below {n}")
-    return Diskoid(n, [tuple(a) for a in arrows], [tuple(t) for t in triangles], walk, labels)
+    return Diskoid(n, [tuple(a) for a in arrows], [tuple(t) for t in triangles], walk)
 
 
 def _layout(n_vertices, ring, edges, bag):
@@ -977,8 +956,7 @@ def web_to_tikz(w):
 def diskoid_to_dot(d, name="diskoid"):
     lines = [f"digraph {name} {{"]
     for v in range(d.n_vertices):
-        label = v if d.labels is None else d.labels[v]
-        lines.append(f'  n{v} [label="{label}"];')
+        lines.append(f'  n{v} [label="{v}"];')
     for u, v in sorted(d.arrows):
         lines.append(f"  n{u} -> n{v};")
     lines.append("}")
@@ -990,10 +968,9 @@ def diskoid_to_tikz(d):
     lines = ["\\begin{tikzpicture}[scale=2]"]
     for v in range(d.n_vertices):
         x, y = pos[v]
-        label = v if d.labels is None else d.labels[v]
         lines.append(
             f"  \\node[circle, draw, inner sep=1pt] (n{v}) at ({x:.3f}, {y:.3f}) "
-            f"{{\\tiny {label}}};"
+            f"{{\\tiny {v}}};"
         )
     for u, v in sorted(d.arrows):
         lines.append(f"  \\draw[->] (n{u}) -- (n{v});")

@@ -218,6 +218,13 @@ def unorientable_diskoid_docs():
         "triangles": [[0, 1, 2]] + [list(t) for t in faces],
         "boundary_walk": [0, 1, 2],
     }
+    # the same octahedron apart from a walked 2-gon: the 1-skeleton is disconnected
+    apart = {
+        "n_vertices": 8,
+        "arrows": [[0, 1]] + [list(a) for a in octahedron],
+        "triangles": [list(t) for t in faces],
+        "boundary_walk": [0, 1],
+    }
     # a Moebius band of five triangles; its arrows make each one a directed 3-cycle
     mobius = {
         "n_vertices": 5,
@@ -236,6 +243,7 @@ def unorientable_diskoid_docs():
     }
     return {
         "octahedron_wedge": (wedge, "triangle patch not reachable from the boundary walk"),
+        "octahedron_apart": (apart, "triangle patch not reachable from the boundary walk"),
         "mobius_band": (mobius, "triangles (0, 3, 4) and (0, 1, 4) disagree"),
         "walk_crossing": (crossed, "triangle (0, 1, 2) orientation conflict at the walk"),
     }

@@ -353,6 +353,12 @@ def test_a_foreign_field_is_refused_where_it_enters():
     assert lattice_contains(q.basis, q.basis.columns()[0])
 
 
+def test_a_non_scalar_generator_is_refused_by_its_type():
+    for field in (QQ, None):
+        with pytest.raises(TypeError, match="matrix entry is int, not LaurentScalar"):
+            class_from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]], field)
+
+
 def dual_meet(a, b):
     """L_a meet L_b through duality: (L_a meet L_b)* = L_a* + L_b*."""
     return lattice_dual(lattice_join(lattice_dual(a), lattice_dual(b)))

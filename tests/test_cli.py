@@ -2,10 +2,13 @@ import ast
 import contextlib
 import copy
 import hashlib
+import importlib
+import inspect
 import io
 import itertools
 import json
 import pathlib
+import pkgutil
 import random
 import sys
 import time
@@ -297,6 +300,34 @@ def test_library_has_no_unused_import():
                 used.update(ast.literal_eval(node.value))
         unused = sorted((line, name) for name, line in imported.items() if name not in used)
         assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_every_function_the_tracer_wraps_exists():
+    """Each ``module.function`` that ``perfbench/spans.py`` measures is an
+    attribute of ``sl3webs.<module>``, so ``--trace 1`` wraps every one."""
+    spans = pathlib.Path(__file__).parent.parent / "perfbench" / "spans.py"
+    measured = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["MEASURED"]
+    )
+    assert len(measured) > 30
+    for target in measured:
+        module, _, name = target.partition(".")
+        assert hasattr(importlib.import_module(f"sl3webs.{module}"), name), target
+
+
+def test_every_cache_with_arguments_is_bounded():
+    """A ``functools`` cache whose function takes arguments has a finite
+    ``maxsize``; one that takes none holds a single entry."""
+    bounded = set()
+    for info in pkgutil.iter_modules(sl3webs.__path__):
+        mod = importlib.import_module(f"sl3webs.{info.name}")
+        for name, value in vars(mod).items():
+            if hasattr(value, "cache_parameters") and inspect.signature(value).parameters:
+                assert value.cache_parameters()["maxsize"] is not None, f"{mod.__name__}.{name}"
+                bounded.add(name)
+    assert {"_pair_cached", "dual"} <= bounded
 
 
 def test_help_exits_zero(capsys):

@@ -457,6 +457,16 @@ def test_a_foreign_field_entry_is_refused_where_it_enters():
     assert LaurentMatrix(GF(7), f7_rows).field == F7
 
 
+def test_a_non_scalar_entry_is_refused_by_its_type():
+    one = LaurentScalar.one(QQ)
+    for bad in ([[1, 2], [3, 4]], [[one, 2], [one, one]], [[one, Fraction(1, 2)], [one, one]]):
+        name = type(bad[0][1]).__name__
+        with pytest.raises(TypeError, match=f"matrix entry is {name}, not LaurentScalar"):
+            LaurentMatrix(QQ, bad)
+        with pytest.raises(TypeError, match=f"matrix entry is {name}, not LaurentScalar"):
+            LaurentMatrix.from_columns(QQ, bad)
+
+
 def test_ragged_columns_are_refused_with_their_lengths():
     one, zero = LaurentScalar.one(QQ), LaurentScalar.zero(QQ)
     for cols, lengths in (

@@ -583,7 +583,7 @@ def test_realization_over_small_fields():
 )
 def test_realization_retries_after_a_rejected_attempt(field, word, component, seed):
     g = enumerate_diagrams(word)[component]
-    first = synthesis._attempt_realization(g, random.Random(seed), field, {})
+    first = synthesis._attempt_realization(g, random.Random(seed), field)
     assert first is not None
     with pytest.raises(PreconditionViolated):
         RealizedPolygon(first, g)
@@ -691,16 +691,31 @@ def test_realized_polygons_are_unchanged():
     assert h.hexdigest() == REALIZED_POLYGONS_SHA1
 
 
-def test_dual_memo_remembers_both_ways():
-    duals = {}
+def test_dual_memo_gives_the_dual_class():
+    building.dual.cache_clear()
     rng = random.Random(5)
     for field in (QQ, GF(3), GF(DEFAULT_PRIME)):
         x = random_walk(LatticeClass.standard(field), rng, 5)
-        y = synthesis._dual_class(x, duals)
+        y = building.dual(x)
         assert y == _normalized_class(_dual(x.basis))
-        assert synthesis._dual_class(y, duals) is x
-        assert synthesis._dual_class(x, duals) is y
+        assert building.dual(x) is y
+        assert building.dual(y) == x
         assert x == _normalized_class(_dual(y.basis))
+
+
+def test_realization_does_not_depend_on_the_dual_memo():
+    # a dual is a pure function of its class, so what the memo holds moves
+    # neither a class nor a draw of the stream
+    cold = []
+    for g, rng in verify_stream_components(6):
+        building.dual.cache_clear()
+        cold.append(realize_polygon(g, rng).classes)
+    for g, rng in reversed(list(verify_stream_components(6))):
+        realize_polygon(g, rng)
+    hits = building.dual.cache_info().hits
+    warm = [realize_polygon(g, rng).classes for g, rng in verify_stream_components(6)]
+    assert len(cold) == 176 and warm == cold
+    assert building.dual.cache_info().hits > hits
 
 
 def test_internal_precision_is_read_off_the_inputs(monkeypatch):
@@ -710,6 +725,7 @@ def test_internal_precision_is_read_off_the_inputs(monkeypatch):
     octagon = [classes[i] for i in range(1, 9)]
     calls = []
     hermite = building.hermite_over_O
+    building.dual.cache_clear()
 
     def spy(mat, det_val=None):
         calls.append((mat, det_val))

@@ -190,8 +190,6 @@ def test_malformed_diskoids():
     with pytest.raises(MalformedDiskoid):
         # pendant edge never walked
         Diskoid(4, [(0, 1), (1, 2), (2, 0), (0, 3)], [(0, 1, 2)], (0, 1, 2))
-    with pytest.raises(MalformedDiskoid):
-        Diskoid(2, [(0, 1)], [], (0, 1), labels=["a"])  # one label for two vertices
 
 
 def test_reduce_bigon():
